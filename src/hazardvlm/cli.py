@@ -10,10 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .data import (
     DataError,
@@ -22,12 +19,14 @@ from .data import (
     build_vocab,
     detokenize,
     load_dataset,
+    load_image,
     save_dataset,
     split,
     synth_generate,
     tokenize,
 )
-from .localization import grid_to_pixel, hard_argmax
+# unused here; the benchmark tracer patches these two names on this module
+from .localization import grid_to_pixel, hard_argmax  # noqa: F401
 from .model import HazardModel, ModelConfig
 from .optim import DivergenceError, convergence_probe, fitted_loglog_slope, probe_table
 from .tensor import Tensor
@@ -38,6 +37,7 @@ from .training import (
     TrainingDiverged,
     apply_checkpoint,
     evaluate,
+    infer,
     load_checkpoint,
     train,
 )
@@ -59,104 +59,50 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Every tunable, with defaults; serialized as flat key = value text."""
+# Library config fields no config key sets: the vocabulary size comes from
+# the data, the divergence guard is fixed, and the output paths are flags.
+_NOT_CONFIGURABLE = {"vocab_size", "ema_alpha", "divergence_factor", "checkpoint_path", "log_path"}
+# keys only the command line reads: (name, type, default)
+_CLI_ONLY = [
+    ("val_fraction", "float", 0.2),
+    ("top_p", "float", 0.9),
+    ("temperature", "float", 0.95),
+    ("synth_n", "int", 250),
+    ("max_samples", "int", 0),  # 0 means no cap
+]
 
-    # model
-    image_size: int = 32
-    channels: int = 1
-    patch_size: int = 8
-    embed_dim: int = 32
-    heads: int = 4
-    encoder_layers: int = 2
-    decoder_layers: int = 2
-    latent_dim: int = 16
-    lora_rank: int = 4
-    max_caption_len: int = 16
-    projector: str = "linear"
-    ffn_mult: int = 4
-    # localization / loss
-    soft_argmax_tau: float = 0.5
-    lambda_coord: float = 1.0
-    lambda_text: float = 1.0
-    # optimizer and schedule
-    base_lr: float = 1e-4
-    warmup_start_lr: float = 3e-5
-    warmup_frac: float = 0.1
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    clip_max_norm: float = 1.0
-    # training
-    epochs: int = 3
-    batch_size: int = 1
-    grad_accum_steps: int = 8
-    val_fraction: float = 0.2
-    mode: str = "pretrain"
-    seed: int = 0
-    # sampling
-    top_p: float = 0.9
-    temperature: float = 0.95
-    # synthetic generation
-    synth_n: int = 250
-    blob_sigma: float = 1.0
-    blob_peak: float = 0.85
-    noise_high: float = 0.3
-    # evaluation
-    max_samples: int = 0  # 0 means no cap
 
-    def model_config(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(
-            image_size=self.image_size,
-            channels=self.channels,
-            patch_size=self.patch_size,
-            embed_dim=self.embed_dim,
-            heads=self.heads,
-            encoder_layers=self.encoder_layers,
-            decoder_layers=self.decoder_layers,
-            vocab_size=vocab_size,
-            latent_dim=self.latent_dim,
-            lora_rank=self.lora_rank,
-            max_caption_len=self.max_caption_len,
-            projector=self.projector,
-            ffn_mult=self.ffn_mult,
-        )
+def _run_config_fields() -> list[tuple[str, str, object]]:
+    """(name, type, default) of the library configs' fields, then the
+    CLI-only keys; a name two configs type or default differently fails."""
+    merged: dict[str, tuple[str, object]] = {}
+    for source in (ModelConfig, TrainConfig, SynthConfig):
+        for f in dataclasses.fields(source):
+            if f.name in _NOT_CONFIGURABLE:
+                continue
+            spec = merged.setdefault(f.name, (f.type, f.default))
+            if spec != (f.type, f.default):
+                raise TypeError(
+                    f"{source.__name__}.{f.name} is {(f.type, f.default)}, another config has {spec}"
+                )
+    return [(name, type_, default) for name, (type_, default) in merged.items()] + _CLI_ONLY
 
-    def train_config(self, **overrides) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            grad_accum_steps=self.grad_accum_steps,
-            base_lr=self.base_lr,
-            warmup_start_lr=self.warmup_start_lr,
-            warmup_frac=self.warmup_frac,
-            weight_decay=self.weight_decay,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            adam_eps=self.adam_eps,
-            clip_max_norm=self.clip_max_norm,
-            lambda_coord=self.lambda_coord,
-            lambda_text=self.lambda_text,
-            soft_argmax_tau=self.soft_argmax_tau,
-            seed=self.seed,
-            mode=self.mode,
-            **overrides,
-        )
 
-    def synth_config(self) -> SynthConfig:
-        return SynthConfig(
-            image_size=self.image_size,
-            channels=self.channels,
-            patch_size=self.patch_size,
-            blob_sigma=self.blob_sigma,
-            blob_peak=self.blob_peak,
-            noise_high=self.noise_high,
-        )
+def _as_text(self) -> str:
+    return "\n".join(f"{f.name} = {getattr(self, f.name)}" for f in dataclasses.fields(self))
 
-    def as_text(self) -> str:
-        return "\n".join(f"{f.name} = {getattr(self, f.name)}" for f in dataclasses.fields(self))
+
+# Every tunable, with defaults; serialized as flat key = value text.
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig", _run_config_fields(), namespace={"as_text": _as_text, "__module__": __name__}
+)
+
+
+def config_for(cls, cfg, **extra):
+    """An instance of library config ``cls`` with its fields taken from the
+    run config ``cfg``; ``extra`` supplies the non-configurable ones."""
+    names = [f.name for f in dataclasses.fields(cls) if f.name not in _NOT_CONFIGURABLE]
+    return cls(**{name: getattr(cfg, name) for name in names}, **extra)
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -207,8 +153,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(cfg, key, flag)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
     return cfg
 
 
@@ -235,7 +179,7 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     if out.exists() and not args.force:
         raise DataError(f"{out} exists; pass --force to overwrite")
-    samples = synth_generate(cfg.synth_n, cfg.synth_config(), seed=cfg.seed)
+    samples = synth_generate(cfg.synth_n, config_for(SynthConfig, cfg), seed=cfg.seed)
     save_dataset(samples, out)
     print(f"wrote {len(samples)} samples to {out}")
     return EXIT_OK
@@ -257,12 +201,12 @@ def cmd_train(args) -> int:
         if not base_vocab.exists():
             raise DataError(f"vocabulary file {base_vocab} for the base checkpoint not found")
         vocab = Vocabulary.load(base_vocab)
-        model = HazardModel(cfg.model_config(len(vocab)), seed=cfg.seed)
+        model = HazardModel(config_for(ModelConfig, cfg, vocab_size=len(vocab)), seed=cfg.seed)
         apply_checkpoint(model, load_checkpoint(args.init_from))
         model.enable_lora(seed=cfg.seed)
     else:
         vocab = build_vocab([s.caption for s in samples] + [HAZARD_PROMPT])
-        model = HazardModel(cfg.model_config(len(vocab)), seed=cfg.seed)
+        model = HazardModel(config_for(ModelConfig, cfg, vocab_size=len(vocab)), seed=cfg.seed)
 
     overlong = [
         i for i, s in enumerate(samples) if len(tokenize(s.caption, vocab)) - 1 > cfg.max_caption_len
@@ -274,7 +218,7 @@ def cmd_train(args) -> int:
         )
 
     log_path = args.log or str(Path(args.out).with_suffix(".csv"))
-    train_cfg = cfg.train_config(checkpoint_path=args.out, log_path=log_path)
+    train_cfg = config_for(TrainConfig, cfg, checkpoint_path=args.out, log_path=log_path)
 
     print(cfg.as_text())
     result = train(model, d_train, d_val, vocab, train_cfg)
@@ -293,7 +237,7 @@ def _restore_model(cfg: RunConfig, checkpoint: str, vocab_file: str | None):
         raise DataError(f"vocabulary file {vocab_path} not found")
     vocab = Vocabulary.load(vocab_path)
     ckpt = load_checkpoint(checkpoint)
-    model = HazardModel(cfg.model_config(len(vocab)), seed=cfg.seed)
+    model = HazardModel(config_for(ModelConfig, cfg, vocab_size=len(vocab)), seed=cfg.seed)
     if any(name.startswith("lora.") for name in ckpt.tensors):
         model.enable_lora(seed=cfg.seed)
     apply_checkpoint(model, ckpt)
@@ -319,27 +263,17 @@ def cmd_predict(args) -> int:
     cfg = build_run_config(args)
     model, vocab = _restore_model(cfg, args.checkpoint, args.vocab)
     try:
-        image = np.load(args.image)
-    except Exception as exc:
-        raise DataError(f"cannot load image {args.image}: {exc}") from exc
-    if image.ndim == 2:
-        image = image[None]
+        image = load_image(args.image)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
     expected = (cfg.channels, cfg.image_size, cfg.image_size)
     if image.shape != expected:
         raise DataError(f"image shape {image.shape} does not match configured {expected}")
-    if not np.all(np.isfinite(image)):
-        raise DataError("image contains non-finite values")
-    feats, amap = model.encode_image(Tensor(image.astype(np.float32)))
-    point = grid_to_pixel(hard_argmax(amap), cfg.patch_size, cfg.image_size)
-
-    prompt_ids = tokenize(HAZARD_PROMPT, vocab)
-    text_feats = model.encode_text(prompt_ids)
-    fused = model.fuse(model.project(feats, "image"), model.project(text_feats, "text"))
-    top_p = 0.0 if args.greedy else cfg.top_p
-    ids = model.generate(
-        fused,
-        max_len=cfg.max_caption_len,
-        top_p=top_p,
+    point, ids = infer(
+        model,
+        Tensor(image),
+        tokenize(HAZARD_PROMPT, vocab),
+        top_p=0.0 if args.greedy else cfg.top_p,
         temperature=cfg.temperature,
         seed=cfg.seed,
     )

@@ -56,7 +56,11 @@ class RecordError:
         return f"line {self.line}: [{self.category}] {self.message}"
 
 
-def _load_image(value, image_root: Path | None) -> np.ndarray:
+def load_image(value, image_root: Path | None = None) -> np.ndarray:
+    """A C x S x S float32 image from a .npy path or a nested array.
+
+    Raises FileNotFoundError for a missing file and ValueError for an
+    unreadable, malformed, non-square, non-finite or out-of-[0, 1] image."""
     if isinstance(value, str):
         path = Path(value)
         if image_root is not None and not path.is_absolute():
@@ -96,7 +100,7 @@ def _parse_record(record: dict, image_root: Path | None) -> AnnotatedSample:
         if key not in record:
             raise KeyError(f"missing key '{key}'")
 
-    image = _load_image(record["image"], image_root)
+    image = load_image(record["image"], image_root)
     size = image.shape[1]
 
     hazard = record["hazard"]

@@ -38,13 +38,6 @@ class AttentionMap:
     def width(self) -> int:
         return self.grid.shape[1]
 
-    def validate(self) -> None:
-        data = self.grid.data
-        if (data < 0).any():
-            raise ValueError("attention map has negative entries")
-        if abs(float(data.sum()) - 1.0) > 1e-6:
-            raise ValueError(f"attention map mass {float(data.sum())} != 1")
-
 
 @dataclass(frozen=True)
 class PixelPoint:
@@ -54,15 +47,13 @@ class PixelPoint:
     y: float
 
 
-def aggregate_heads(per_head: Tensor, query_mode: str = "mean", grid_shape: tuple[int, int] | None = None) -> AttentionMap:
+def aggregate_heads(per_head: Tensor, grid_shape: tuple[int, int] | None = None) -> AttentionMap:
     """Reduce h x n x n per-head attention to one mass per key position.
 
     Mean over heads, then over query positions, renormalized and reshaped
     to the (square by default) patch grid. Stays on the tape, so training
     gradients flow back into the attention weights.
     """
-    if query_mode != "mean":
-        raise ValueError(f"unsupported query_mode {query_mode!r}")
     if per_head.data.ndim != 3 or per_head.shape[1] != per_head.shape[2]:
         raise ValueError(f"expected h x n x n attention, got {per_head.shape}")
     n = per_head.shape[1]
@@ -113,33 +104,14 @@ def grid_to_pixel(g: tuple[float, float], patch_size: int, image_size: int) -> P
     return PixelPoint(px, py)
 
 
-def grid_to_pixel_tensor(gx: Tensor, gy: Tensor, patch_size: int) -> tuple[Tensor, Tensor]:
-    """Tape-connected pixel mapping for the training path.
-
-    No clamp: a soft-argmax output lies inside the grid's convex hull, so
-    the mapped point is already within [p/2, S - p/2].
-    """
-    half = patch_size / 2.0
-    return tz.shift(tz.scale(gx, patch_size), half), tz.shift(tz.scale(gy, patch_size), half)
-
-
 def pixel_to_grid(point: PixelPoint, patch_size: int) -> tuple[float, float]:
     """Inverse of the patch-center mapping (continuous, unclamped)."""
     half = patch_size / 2.0
     return (point.x - half) / patch_size, (point.y - half) / patch_size
 
 
-def predict_hazard(model, image, mode: str = "infer", tau: float = DEFAULT_TAU):
-    """Hazard location from a model's attention map.
-
-    infer mode: PixelPoint via hard argmax (deterministic).
-    train mode: (x, y) scalar tensors via soft-argmax, gradients attached.
-    """
+def predict_hazard(model, image) -> PixelPoint:
+    """Hazard location from a model's attention map via hard argmax
+    (deterministic)."""
     _, amap = model.encode_image(image)
-    p = model.config.patch_size
-    if mode == "infer":
-        return grid_to_pixel(hard_argmax(amap), p, model.config.image_size)
-    if mode == "train":
-        gx, gy = soft_argmax(amap, tau)
-        return grid_to_pixel_tensor(gx, gy, p)
-    raise ValueError(f"unknown mode {mode!r}")
+    return grid_to_pixel(hard_argmax(amap), model.config.patch_size, model.config.image_size)

@@ -143,18 +143,15 @@ def corpus_report(
     truth_points: Sequence,
     candidates: Sequence[Tokens],
     pred_points: Sequence,
-    max_samples: int | None = None,
 ) -> MetricsReport:
     """Macro-average of per-sample metrics over aligned lists."""
     if not (len(references) == len(truth_points) == len(candidates) == len(pred_points)):
         raise ValueError("misaligned metric inputs")
     n = len(references)
-    if max_samples is not None and max_samples > 0:
-        n = min(n, max_samples)
     if n == 0:
         raise ValueError("corpus_report over an empty corpus")
     b = r1 = r2 = rl = 0.0
-    for ref, cand in zip(references[:n], candidates[:n]):
+    for ref, cand in zip(references, candidates):
         b += bleu4(cand, ref)
         r1 += rouge_n(cand, ref, 1)
         r2 += rouge_n(cand, ref, 2)
@@ -164,6 +161,6 @@ def corpus_report(
         rouge1=r1 / n,
         rouge2=r2 / n,
         rougeL=rl / n,
-        mse_pixels=pixel_mse(pred_points[:n], truth_points[:n]),
+        mse_pixels=pixel_mse(pred_points, truth_points),
         count=n,
     )

@@ -71,24 +71,6 @@ def coord_loss(preds: Sequence, truths: Sequence) -> Tensor:
     return tz.scale(total, 1.0 / len(preds))
 
 
-def text_loss(logits, targets) -> Tensor:
-    """Cross-entropy, averaged per sequence then across the batch.
-
-    Accepts a single (T x V logits, targets) pair or parallel lists of
-    them.
-    """
-    if isinstance(logits, Tensor):
-        return tz.cross_entropy(logits, targets)
-    if len(logits) != len(targets):
-        raise ValueError("logits/targets batch lengths differ")
-    if not logits:
-        raise ValueError("text_loss over an empty batch")
-    total = tz.cross_entropy(logits[0], targets[0])
-    for lg, tg in zip(logits[1:], targets[1:]):
-        total = tz.add(total, tz.cross_entropy(lg, tg))
-    return tz.scale(total, 1.0 / len(logits))
-
-
 def total_loss(coord: Tensor, text: Tensor, weights: LossWeights) -> LossBreakdown:
     """Weighted sum, with the parts retained for logging."""
     for name, part in (("coord", coord), ("text", text)):

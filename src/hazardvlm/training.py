@@ -5,6 +5,7 @@ CSV logging, per-epoch validation, and binary checkpoints.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import tensor as tz
 from .data import AnnotatedSample, Vocabulary, detokenize, normalize, tokenize
-from .localization import grid_to_pixel, hard_argmax, pixel_to_grid, soft_argmax
+from .localization import PixelPoint, grid_to_pixel, hard_argmax, pixel_to_grid, soft_argmax
 from .metrics import MetricsReport, corpus_report
 from .model import HazardModel
 from .objective import LossWeights, coord_loss, total_loss
@@ -196,53 +197,59 @@ def train(
     ema: float | None = None
     initial_raw: float | None = None
 
-    for epoch in range(cfg.epochs):
-        order = np.random.default_rng((cfg.seed, epoch)).permutation(n)
-        micro_grads: list[dict[str, np.ndarray]] = []
-        group_raw: list[tuple[float, float, float]] = []
-        for start in range(0, n, cfg.batch_size):
-            batch = [d_train[i] for i in order[start : start + cfg.batch_size]]
-            with Tape() as tape:
-                breakdown = _batch_breakdown(model, batch, prompt_ids, vocab, cfg)
-            coord_v, text_v, raw = breakdown.values()
-            if not math.isfinite(raw):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {step}")
-            if initial_raw is None:
-                initial_raw = raw
-            elif raw > cfg.divergence_factor * max(initial_raw, 1e-12):
-                raise TrainingDiverged(
-                    f"loss {raw:.4g} exceeds {cfg.divergence_factor}x initial {initial_raw:.4g}"
-                )
-            tape.backward(breakdown.total)
-            micro_grads.append(_take_grads(trainable))
-            group_raw.append((coord_v, text_v, raw))
-
-            last_micro = start + cfg.batch_size >= n
-            if len(micro_grads) == cfg.grad_accum_steps or last_micro:
-                grads = accumulate_gradients(micro_grads)
-                grads, pre_norm = clip_grad_norm(grads, cfg.clip_max_norm)
-                lr = lr_at(sched, step)
-                adamw_step(trainable, grads, state, lr)
-                raw_mean = sum(r for _, _, r in group_raw) / len(group_raw)
-                ema = raw_mean if ema is None else cfg.ema_alpha * raw_mean + (1 - cfg.ema_alpha) * ema
-                result.logs.append(
-                    StepLog(
-                        step=step,
-                        loss=raw_mean,
-                        loss_smooth=ema,
-                        coord_loss=sum(c for c, _, _ in group_raw) / len(group_raw),
-                        text_loss=sum(t for _, t, _ in group_raw) / len(group_raw),
-                        lr=lr,
-                        grad_norm=pre_norm,
+    # the log is streamed, so a run that diverges keeps the rows before it
+    opened = open(cfg.log_path, "w", encoding="utf-8") if cfg.log_path else contextlib.nullcontext()
+    with opened as log:
+        if log is not None:
+            log.write(LOG_HEADER + "\n")
+        for epoch in range(cfg.epochs):
+            order = np.random.default_rng((cfg.seed, epoch)).permutation(n)
+            micro_grads: list[dict[str, np.ndarray]] = []
+            group_raw: list[tuple[float, float, float]] = []
+            for start in range(0, n, cfg.batch_size):
+                batch = [d_train[i] for i in order[start : start + cfg.batch_size]]
+                with Tape() as tape:
+                    breakdown = _batch_breakdown(model, batch, prompt_ids, vocab, cfg)
+                coord_v, text_v, raw = breakdown.values()
+                if not math.isfinite(raw):
+                    raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {step}")
+                if initial_raw is None:
+                    initial_raw = raw
+                elif raw > cfg.divergence_factor * max(initial_raw, 1e-12):
+                    raise TrainingDiverged(
+                        f"loss {raw:.4g} exceeds {cfg.divergence_factor}x initial {initial_raw:.4g}"
                     )
-                )
-                step += 1
-                micro_grads = []
-                group_raw = []
-        result.val_reports.append(evaluate(model, d_val, vocab))
+                tape.backward(breakdown.total)
+                micro_grads.append(_take_grads(trainable))
+                group_raw.append((coord_v, text_v, raw))
 
-    if cfg.log_path:
-        write_log(result.logs, cfg.log_path)
+                last_micro = start + cfg.batch_size >= n
+                if len(micro_grads) == cfg.grad_accum_steps or last_micro:
+                    grads = accumulate_gradients(micro_grads)
+                    grads, pre_norm = clip_grad_norm(grads, cfg.clip_max_norm)
+                    lr = lr_at(sched, step)
+                    adamw_step(trainable, grads, state, lr)
+                    raw_mean = sum(r for _, _, r in group_raw) / len(group_raw)
+                    ema = raw_mean if ema is None else cfg.ema_alpha * raw_mean + (1 - cfg.ema_alpha) * ema
+                    result.logs.append(
+                        StepLog(
+                            step=step,
+                            loss=raw_mean,
+                            loss_smooth=ema,
+                            coord_loss=sum(c for c, _, _ in group_raw) / len(group_raw),
+                            text_loss=sum(t for _, t, _ in group_raw) / len(group_raw),
+                            lr=lr,
+                            grad_norm=pre_norm,
+                        )
+                    )
+                    if log is not None:
+                        log.write(result.logs[-1].as_csv_row() + "\n")
+                        log.flush()
+                    step += 1
+                    micro_grads = []
+                    group_raw = []
+            result.val_reports.append(evaluate(model, d_val, vocab))
+
     if cfg.checkpoint_path:
         save_checkpoint(model, state, cfg.checkpoint_path, step=step, epoch=cfg.epochs, seed=cfg.seed)
     return result
@@ -254,6 +261,26 @@ def _take_grads(trainable: dict[str, Tensor]) -> dict[str, np.ndarray]:
         grads[name] = t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
         t.zero_grad()
     return grads
+
+
+def infer(
+    model: HazardModel,
+    image,
+    prompt_ids: Sequence[int],
+    top_p: float = 0.0,
+    temperature: float = 1.0,
+    seed: int = 0,
+) -> tuple[PixelPoint, list[int]]:
+    """Hazard point (hard argmax of the attention map) and caption token ids
+    for one image; top_p 0 decodes greedily."""
+    feats, amap = model.encode_image(image)
+    point = grid_to_pixel(hard_argmax(amap), model.config.patch_size, model.config.image_size)
+    text_feats = model.encode_text(prompt_ids)
+    fused = model.fuse(model.project(feats, "image"), model.project(text_feats, "text"))
+    ids = model.generate(
+        fused, max_len=model.config.max_caption_len, top_p=top_p, temperature=temperature, seed=seed
+    )
+    return point, ids
 
 
 def evaluate(
@@ -269,25 +296,12 @@ def evaluate(
     limit = len(samples) if not max_samples else min(len(samples), max_samples)
     refs, cands, truths, preds = [], [], [], []
     for sample in samples[:limit]:
-        feats, amap = model.encode_image(Tensor(sample.image))
-        point = grid_to_pixel(
-            hard_argmax(amap), model.config.patch_size, model.config.image_size
-        )
-        text_feats = model.encode_text(prompt_ids)
-        fused = model.fuse(model.project(feats, "image"), model.project(text_feats, "text"))
-        ids = model.generate(
-            fused, max_len=model.config.max_caption_len, top_p=0.0, temperature=1.0, seed=0
-        )
+        point, ids = infer(model, Tensor(sample.image), prompt_ids)
         refs.append(normalize(sample.caption))
         cands.append(detokenize(ids, vocab).split())
         truths.append(sample.hazard)
         preds.append(point)
     return corpus_report(refs, truths, cands, preds)
-
-
-def write_log(logs: Sequence[StepLog], path: str | Path) -> None:
-    lines = [LOG_HEADER] + [entry.as_csv_row() for entry in logs]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +421,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     version = r.u32()
     if version != VERSION:
         raise BadVersion(f"unsupported checkpoint version {version}")
-    tensors = r.section()
-    moments = r.section()
-    step, epoch, seed = struct.unpack("<3Q", r.take(24))
+    try:
+        tensors = r.section()
+        moments = r.section()
+        step, epoch, seed = struct.unpack("<3Q", r.take(24))
+    except (ValueError, OverflowError, struct.error) as exc:
+        # a corrupted name, rank or dimension (UnicodeDecodeError is a ValueError)
+        raise CheckpointError(f"{path}: malformed checkpoint section ({exc})") from exc
     if r.pos != len(blob):
         raise CheckpointError(f"{len(blob) - r.pos} trailing bytes after checkpoint payload")
     return Checkpoint(tensors=tensors, moments=moments, step=step, epoch=epoch, seed=seed)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -197,6 +198,15 @@ def test_predict_rejects_wrong_shape(tmp_path, conf, trained):
     assert rc == EXIT_DATA
 
 
+def test_predict_rejects_values_outside_unit_range(tmp_path, conf, trained, capsys):
+    _, ckpt = trained
+    img_path = tmp_path / "bright.npy"
+    np.save(img_path, np.full((1, 16, 16), 5.0))
+    rc = main(["predict", "--config", conf, "--checkpoint", str(ckpt), "--image", str(img_path)])
+    assert rc == EXIT_DATA
+    assert "outside [0, 1]" in capsys.readouterr().err
+
+
 def test_overlong_caption_is_data_error(tmp_path, conf):
     data = synth(tmp_path, conf)
     lines = data.read_text().splitlines()
@@ -214,6 +224,20 @@ def test_corrupt_checkpoint_is_data_error(tmp_path, conf, trained):
     bad.write_bytes(b"XXXX" + ckpt.read_bytes()[4:])
     (tmp_path / "bad.ckpt.vocab").write_bytes((tmp_path / "model.ckpt.vocab").read_bytes())
     rc = main(["eval", "--config", conf, "--checkpoint", str(bad), "--dataset", str(data)])
+    assert rc == EXIT_DATA
+
+
+def test_checkpoint_with_undecodable_name_is_data_error(tmp_path, conf, trained):
+    data, ckpt = trained
+    blob = bytearray(ckpt.read_bytes())
+    # magic, version, tensor count and name length precede the first name
+    blob[16] = 0xFF  # never valid in UTF-8
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(blob))
+    (tmp_path / "bad.ckpt.vocab").write_bytes((tmp_path / "model.ckpt.vocab").read_bytes())
+    img_path = tmp_path / "img.npy"
+    np.save(img_path, load_dataset(data)[0][0].image)
+    rc = main(["predict", "--config", conf, "--checkpoint", str(bad), "--image", str(img_path)])
     assert rc == EXIT_DATA
 
 
@@ -272,6 +296,32 @@ def test_run_config_defaults_are_reported_values():
     assert cfg.top_p == 0.9
     assert cfg.temperature == 0.95
     assert cfg.warmup_start_lr == 3e-5
+
+
+# key -> (type, default) of every RunConfig field; a library config edit that
+# moves a config key or its default shows up here
+PINNED_RUN_CONFIG = {
+    "image_size": ("int", 32), "channels": ("int", 1), "patch_size": ("int", 8),
+    "embed_dim": ("int", 32), "heads": ("int", 4), "encoder_layers": ("int", 2),
+    "decoder_layers": ("int", 2), "latent_dim": ("int", 16), "lora_rank": ("int", 4),
+    "max_caption_len": ("int", 16), "projector": ("str", "linear"), "ffn_mult": ("int", 4),
+    "soft_argmax_tau": ("float", 0.5), "lambda_coord": ("float", 1.0),
+    "lambda_text": ("float", 1.0), "base_lr": ("float", 1e-4),
+    "warmup_start_lr": ("float", 3e-5), "warmup_frac": ("float", 0.1),
+    "weight_decay": ("float", 0.01), "beta1": ("float", 0.9), "beta2": ("float", 0.999),
+    "adam_eps": ("float", 1e-8), "clip_max_norm": ("float", 1.0), "epochs": ("int", 3),
+    "batch_size": ("int", 1), "grad_accum_steps": ("int", 8), "val_fraction": ("float", 0.2),
+    "mode": ("str", "pretrain"), "seed": ("int", 0), "top_p": ("float", 0.9),
+    "temperature": ("float", 0.95), "synth_n": ("int", 250), "blob_sigma": ("float", 1.0),
+    "blob_peak": ("float", 0.85), "noise_high": ("float", 0.3), "max_samples": ("int", 0),
+}
+
+
+def test_run_config_keys_types_and_defaults_are_pinned():
+    fields = {f.name: (f.type, f.default) for f in dataclasses.fields(RunConfig)}
+    assert fields == PINNED_RUN_CONFIG
+    text = RunConfig().as_text().splitlines()
+    assert sorted(line.split(" = ")[0] for line in text) == sorted(PINNED_RUN_CONFIG)
 
 
 def test_flags_override_config_file(tmp_path, conf):

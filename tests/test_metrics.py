@@ -146,12 +146,6 @@ def test_corpus_all_perfect():
     assert report.count == 4
 
 
-def test_corpus_max_samples_truncation():
-    refs, pts = _perfect_corpus(300)
-    report = corpus_report(refs, pts, refs, pts, max_samples=250)
-    assert report.count == 250
-
-
 def test_corpus_macro_average():
     refs = ["a b c d".split(), "a b c d".split()]
     cands = ["a b c d".split(), []]  # BLEU 1.0 and 0.0

@@ -1,12 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hazardvlm import tensor as tz
 from hazardvlm.localization import PixelPoint
-from hazardvlm.objective import LossWeights, coord_loss, text_loss, total_loss
+from hazardvlm.objective import LossWeights, coord_loss, total_loss
 from hazardvlm.tensor import Tape, Tensor
 
 
@@ -65,25 +63,6 @@ def test_coord_loss_nonnegative_and_zero_iff_equal(points):
     assert coord_loss(pts, pts).item() == 0.0
     shifted = [PixelPoint(x + 1.0, y) for x, y in points]
     assert coord_loss(shifted, pts).item() > 0.0
-
-
-def test_text_loss_perfect_logits():
-    logits = Tensor(np.eye(4, dtype=np.float32) * 50.0)
-    assert text_loss(logits, [0, 1, 2, 3]).item() < 1e-6
-
-
-def test_text_loss_uniform_logits():
-    logits = Tensor(np.zeros((3, 4), dtype=np.float32))
-    assert text_loss(logits, [0, 1, 2]).item() == pytest.approx(math.log(4), abs=1e-6)
-
-
-def test_text_loss_batch_is_mean_of_sequences():
-    a = Tensor(np.zeros((2, 4), dtype=np.float32))  # ln 4 each step
-    b = Tensor(np.eye(4, dtype=np.float32)[:1] * 50.0)  # ~0
-    single_a = text_loss(a, [1, 2]).item()
-    single_b = text_loss(b, [0]).item()
-    batch = text_loss([a, b], [[1, 2], [0]]).item()
-    assert batch == pytest.approx((single_a + single_b) / 2, abs=1e-6)
 
 
 def test_total_loss_zero_coord_weight():

@@ -180,6 +180,15 @@ def test_grad_check_cross_entropy():
     assert err < 1e-3
 
 
+def test_grad_check_non_finite_perturbation_raises():
+    # exp is finite at x and x - eps but overflows float64 at x + eps
+    x = Tensor(np.array([709.75]))
+    with np.errstate(over="ignore"):
+        with pytest.raises(T.NonFiniteError):
+            grad_check(lambda t: T.tsum(T.exp(t)), x, eps=0.1)
+    assert T._FINITE_CHECKS
+
+
 # ---------------------------------------------------------------------------
 # per-op gradient battery: 20 seeds each, inputs from N(0,1)
 # ---------------------------------------------------------------------------

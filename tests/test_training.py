@@ -10,7 +10,6 @@ from hazardvlm.training import (
     BadVersion,
     Checkpoint,
     LOG_HEADER,
-    StepLog,
     TrainConfig,
     TrainingDiverged,
     Truncated,
@@ -20,7 +19,6 @@ from hazardvlm.training import (
     load_checkpoint,
     save_checkpoint,
     train,
-    write_log,
 )
 
 SMALL_MODEL = ModelConfig(
@@ -170,11 +168,18 @@ def test_coord_loss_trains_alone_when_text_weight_zero():
     assert last < first
 
 
-def test_divergence_guard_trips():
+def test_divergence_guard_trips(tmp_path):
     samples, vocab = make_dataset(6)
     model = small_model(vocab)
+    log = tmp_path / "log.csv"
+    # one micro-batch per step, so the first step is logged before the
+    # second micro-batch trips the guard
+    cfg = quick_cfg(divergence_factor=1e-9, grad_accum_steps=1, log_path=str(log))
     with pytest.raises(TrainingDiverged):
-        train(model, samples, samples[:2], vocab, quick_cfg(divergence_factor=1e-9))
+        train(model, samples, samples[:2], vocab, cfg)
+    lines = log.read_text().splitlines()
+    assert lines[0] == LOG_HEADER
+    assert len(lines) == 2 and lines[1].startswith("0,")
 
 
 def test_empty_dataset_rejected():
@@ -267,13 +272,14 @@ def test_evaluate_max_samples_and_empty():
         evaluate(model, [], vocab)
 
 
-def test_write_log_format(tmp_path):
-    logs = [StepLog(0, 1.0, 1.0, 0.5, 0.5, 1e-4, 2.0)]
-    path = tmp_path / "log.csv"
-    write_log(logs, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == LOG_HEADER
-    assert lines[1].startswith("0,1.0,1.0,")
+def test_train_streams_log(tmp_path):
+    samples, vocab = make_dataset(6)
+    model = small_model(vocab)
+    log = tmp_path / "log.csv"
+    result = train(model, samples, samples[:2], vocab, quick_cfg(log_path=str(log)))
+    rows = [entry.as_csv_row() for entry in result.logs]
+    assert log.read_text(encoding="utf-8") == "\n".join([LOG_HEADER] + rows) + "\n"
+    assert rows[0].startswith("0,")
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +340,28 @@ def test_checkpoint_corruption_errors_are_distinct(tmp_path):
     truncated.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(Truncated):
         load_checkpoint(truncated)
+
+
+def test_checkpoint_header_bit_flips_raise_only_checkpoint_error(tmp_path):
+    from hazardvlm.training import CheckpointError
+
+    tiny = ModelConfig(
+        image_size=4, patch_size=2, embed_dim=4, heads=1, encoder_layers=1,
+        decoder_layers=1, vocab_size=6, latent_dim=2, lora_rank=1, max_caption_len=4,
+    )
+    path = tmp_path / "tiny.ckpt"
+    save_checkpoint(HazardModel(tiny, seed=0), None, path, step=0, epoch=0, seed=0)
+    blob = path.read_bytes()
+    flipped = tmp_path / "flipped.ckpt"
+    for byte in range(min(200, len(blob))):
+        for bit in range(8):
+            corrupt = bytearray(blob)
+            corrupt[byte] ^= 1 << bit
+            flipped.write_bytes(bytes(corrupt))
+            try:
+                load_checkpoint(flipped)
+            except CheckpointError:
+                pass
 
 
 def test_pretrain_checkpoint_loads_into_lora_model(tmp_path):
