@@ -123,8 +123,12 @@ REPORTED_HPARAMS = {
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -246,6 +250,8 @@ def _restore_model(cfg: RunConfig, checkpoint: str, vocab_file: str | None):
 
 def cmd_eval(args) -> int:
     cfg = build_run_config(args)
+    if cfg.max_samples < 0:
+        raise UsageError(f"max_samples must be >= 0 (0: no cap), got {cfg.max_samples}")
     model, vocab = _restore_model(cfg, args.checkpoint, args.vocab)
     samples = _load_samples(args.dataset)
     if not samples:
@@ -285,10 +291,14 @@ def cmd_predict(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    t_list = [int(v) for v in args.t_list.split(",")]
-    rows = convergence_probe(
-        args.objective, dims=args.dims, t_list=t_list, seeds=range(args.seeds), lr0=args.lr0
-    )
+    # a ValueError here is a malformed argument; divergence is a DivergenceError
+    try:
+        t_list = [int(v) for v in args.t_list.split(",")]
+        rows = convergence_probe(
+            args.objective, dims=args.dims, t_list=t_list, seeds=range(args.seeds), lr0=args.lr0
+        )
+    except ValueError as exc:
+        raise UsageError(f"probe: {exc}") from exc
     print(probe_table(rows))
     if args.out:
         lines = [f"{t},{v!r}" for t, v in rows]

@@ -296,24 +296,18 @@ class HazardModel:
         kmat = tz.add(tz.matmul(kv, self._w(f"{prefix}.wk")), self._p(f"{prefix}.bk"))
         v = tz.add(tz.matmul(kv, self._w(f"{prefix}.wv")), self._p(f"{prefix}.bv"))
         n_q, n_kv = q.shape[0], kmat.shape[0]
-        mask = None
+        # n x d -> h x n x dh (keys h x dh x n): every head in one product
+        qh = tz.permute(tz.reshape(q, (n_q, h, dh)), (1, 0, 2))
+        kh = tz.permute(tz.reshape(kmat, (n_kv, h, dh)), (1, 2, 0))
+        vh = tz.permute(tz.reshape(v, (n_kv, h, dh)), (1, 0, 2))
+        scores = tz.scale(tz.matmul(qh, kh), 1.0 / math.sqrt(dh))
         if causal:
-            m = np.triu(np.full((n_q, n_kv), MASK_VALUE, np.float32), k=1)
-            mask = Tensor(m)
-        heads, maps = [], []
-        for i in range(h):
-            qh = tz.slice_axis(q, 1, i * dh, (i + 1) * dh)
-            kh = tz.slice_axis(kmat, 1, i * dh, (i + 1) * dh)
-            vh = tz.slice_axis(v, 1, i * dh, (i + 1) * dh)
-            scores = tz.scale(tz.matmul(qh, tz.transpose(kh)), 1.0 / math.sqrt(dh))
-            if mask is not None:
-                scores = tz.add(scores, mask)
-            attn = tz.softmax(scores, axis=1)
-            maps.append(tz.reshape(attn, (1, n_q, n_kv)))
-            heads.append(tz.matmul(attn, vh))
-        out = tz.concat(heads, axis=1)
+            mask = np.triu(np.full((n_q, n_kv), MASK_VALUE, np.float32), k=1)
+            scores = tz.add(scores, Tensor(mask))
+        attn = tz.softmax(scores, axis=2)
+        out = tz.reshape(tz.permute(tz.matmul(attn, vh), (1, 0, 2)), (n_q, d))
         out = tz.add(tz.matmul(out, self._w(f"{prefix}.wo")), self._p(f"{prefix}.bo"))
-        return out, tz.concat(maps, axis=0)
+        return out, attn
 
     def _ffn(self, x: Tensor, prefix: str) -> Tensor:
         hmid = tz.gelu(tz.add(tz.matmul(x, self._w(f"{prefix}.w1")), self._p(f"{prefix}.b1")))

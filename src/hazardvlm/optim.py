@@ -187,6 +187,11 @@ def convergence_probe(
     checkpoints = sorted(set(int(t) for t in t_list))
     if not checkpoints or checkpoints[0] < 1:
         raise ValueError("t_list must contain horizons >= 1")
+    if dims < 1:
+        raise ValueError(f"dims must be >= 1, got {dims}")
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("seeds must not be empty")
     sums = {t: 0.0 for t in checkpoints}
     for seed in seeds:
         f, theta0 = objective(dims, seed)

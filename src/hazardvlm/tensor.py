@@ -113,10 +113,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
-
-
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -217,15 +213,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of two rank-2 operands, or of two rank-3 stacks of
+    matrices with equal leading dims (one product per leading index)."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} x {b.shape}")
+    if a.data.ndim != b.data.ndim or a.data.ndim not in (2, 3):
+        raise ShapeError(f"matmul expects two rank-2 or two rank-3 operands, got {a.shape} and {b.shape}")
+    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul dims differ: {a.shape} x {b.shape}")
     out = a.data @ b.data
 
     def bwd(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g
 
     return _record("matmul", (a, b), out, bwd)
 
@@ -409,16 +407,11 @@ def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     inverse = tuple(np.argsort(axes))
 
     def bwd(g):
-        return (np.transpose(g, inverse),)
+        # contiguous like the forward output, so downstream reductions sum
+        # in the same order whichever layout the gradient arrived in
+        return (np.ascontiguousarray(np.transpose(g, inverse)),)
 
     return _record("permute", (x,), np.transpose(x.data, axes).copy(), bwd)
-
-
-def transpose(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose expects rank 2, got {x.shape}")
-    return permute(x, (1, 0))
 
 
 def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:

@@ -289,9 +289,12 @@ def evaluate(
     vocab: Vocabulary,
     max_samples: int | None = None,
 ) -> MetricsReport:
-    """Greedy decoding plus hard-argmax localization over a sample set."""
+    """Greedy decoding plus hard-argmax localization over a sample set,
+    or over its first ``max_samples`` samples (0 or None: all of them)."""
     if not samples:
         raise ValueError("empty evaluation set")
+    if max_samples is not None and max_samples < 0:
+        raise ValueError(f"max_samples must be >= 0 (0 or None: no cap), got {max_samples}")
     prompt_ids = tokenize(HAZARD_PROMPT, vocab)
     limit = len(samples) if not max_samples else min(len(samples), max_samples)
     refs, cands, truths, preds = [], [], [], []

@@ -25,8 +25,9 @@ def op_grad_cases(rng):
     beta = Tensor(rng.standard_normal(4), requires_grad=True)
     w3 = Tensor(rng.standard_normal(3))
     w26 = Tensor(rng.standard_normal((2, 6)))
-    w43 = Tensor(rng.standard_normal((4, 3)))
     w232 = Tensor(rng.standard_normal((2, 3, 2)))
+    a234 = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    b242 = Tensor(rng.standard_normal((2, 4, 2)), requires_grad=True)
     w34 = Tensor(rng.standard_normal((3, 4)))
     w32 = Tensor(rng.standard_normal((3, 2)))
     w64 = Tensor(rng.standard_normal((6, 4)))
@@ -49,7 +50,8 @@ def op_grad_cases(rng):
         ("sum_axis", a34, lambda t: T.tsum(T.mul(T.tsum(t, axis=0), bias))),
         ("mean", a34, lambda t: T.tsum(T.mul(T.mean(t, axis=1), w3))),
         ("reshape", a34, lambda t: T.tsum(T.mul(T.reshape(t, (2, 6)), w26))),
-        ("transpose", a34, lambda t: T.tsum(T.mul(T.transpose(t), w43))),
+        ("matmul_batched_left", a234, lambda t: T.tsum(T.mul(T.matmul(t, b242), w232))),
+        ("matmul_batched_right", b242, lambda t: T.tsum(T.mul(T.matmul(a234, t), w232))),
         ("permute", a34, lambda t: T.tsum(T.mul(T.permute(T.reshape(t, (3, 2, 2)), (2, 0, 1)), w232))),
         ("take_rows", a34, lambda t: T.tsum(T.mul(T.take_rows(t, [2, 0, 2]), w34))),
         ("slice_axis", a34, lambda t: T.tsum(T.mul(T.slice_axis(t, 1, 1, 3), w32))),

@@ -126,6 +126,20 @@ def test_unknown_config_key_rejected(tmp_path, conf):
     assert rc == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "content", [None, b"image_size = 16\nseed = \xff\xfe\n"], ids=["missing", "not_utf8"]
+)
+def test_unreadable_config_file_is_usage_error(tmp_path, content, capsys):
+    # None: the file does not exist; bytes: the file is not UTF-8
+    path = tmp_path / "c.conf"
+    if content is not None:
+        path.write_bytes(content)
+    rc = main(["synth", "--config", str(path), "--out", str(tmp_path / "d.jsonl")])
+    assert rc == EXIT_USAGE
+    assert "usage error: cannot read config file" in capsys.readouterr().err
+    assert not (tmp_path / "d.jsonl").exists()
+
+
 def test_invalid_flag_is_usage_error(tmp_path):
     rc = main(["synth", "--out", str(tmp_path / "d.jsonl"), "--wat"])
     assert rc == EXIT_USAGE
@@ -164,6 +178,18 @@ def test_eval_honors_max_samples(tmp_path, conf, trained, capsys):
     ])
     assert rc == EXIT_OK
     assert "count = 5" in capsys.readouterr().out
+
+
+def test_eval_rejects_negative_max_samples(tmp_path, conf, trained, capsys):
+    data, ckpt = trained
+    rc = main([
+        "eval", "--config", conf, "--checkpoint", str(ckpt),
+        "--dataset", str(data), "--max-samples", "-1",
+    ])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "max_samples" in captured.err
+    assert "count = " not in captured.out
 
 
 def test_predict_output_format(tmp_path, conf, trained, capsys):
@@ -267,6 +293,19 @@ def test_probe_table_and_records(tmp_path, capsys):
     assert len(rows) == 3
     assert all(len(r.split(",")) == 2 for r in rows)
     assert "slope" in table
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--t-list", "abc"], ["--t-list", "0,10"], ["--seeds", "0"], ["--dims", "0"]],
+    ids=["t_list_not_int", "t_list_zero", "no_seeds", "zero_dims"],
+)
+def test_probe_malformed_arguments_are_usage_errors(flags, capsys):
+    rc = main(["probe", "--seeds", "1", "--t-list", "10", *flags])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ")
+    assert "slope" not in captured.out
 
 
 def test_probe_divergence_exit_code(capsys):

@@ -1,8 +1,13 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from hazardvlm import tensor as tz
+from hazardvlm.data import SynthConfig, build_vocab, synth_generate, tokenize
 from hazardvlm.model import (
+    MASK_VALUE,
     HazardModel,
     LoRAAdapter,
     ModelConfig,
@@ -12,6 +17,7 @@ from hazardvlm.model import (
     patchify,
 )
 from hazardvlm.tensor import Tensor, grad_check
+from hazardvlm.training import HAZARD_PROMPT, TrainConfig, sample_losses
 
 TINY = ModelConfig(
     image_size=8,
@@ -302,6 +308,92 @@ def test_lora_trainable_set_is_adapters_plus_projector_biases():
     assert model.params.tensors["lora.proj.img.w.a"].requires_grad
     with pytest.raises(RuntimeError):
         model.enable_lora(seed=1)
+
+
+# ---------------------------------------------------------------------------
+# attention
+# ---------------------------------------------------------------------------
+
+def _per_head_attention(model, x, kv, prefix, causal):
+    """Reference: attention as a Python loop over heads, each head's
+    columns sliced out and the head outputs and maps concatenated."""
+    p = model.params.tensors
+    h = model.config.heads
+    dh = model.config.embed_dim // h
+    kv = x if kv is None else kv
+    q = tz.add(tz.matmul(x, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
+    k = tz.add(tz.matmul(kv, p[f"{prefix}.wk"]), p[f"{prefix}.bk"])
+    v = tz.add(tz.matmul(kv, p[f"{prefix}.wv"]), p[f"{prefix}.bv"])
+    n_q, n_kv = q.shape[0], k.shape[0]
+    mask = Tensor(np.triu(np.full((n_q, n_kv), MASK_VALUE, np.float32), k=1))
+    heads, maps = [], []
+    for i in range(h):
+        qh, kh, vh = (tz.slice_axis(t, 1, i * dh, (i + 1) * dh) for t in (q, k, v))
+        scores = tz.scale(tz.matmul(qh, tz.permute(kh, (1, 0))), 1.0 / math.sqrt(dh))
+        if causal:
+            scores = tz.add(scores, mask)
+        attn = tz.softmax(scores, axis=1)
+        maps.append(tz.reshape(attn, (1, n_q, n_kv)))
+        heads.append(tz.matmul(attn, vh))
+    out = tz.add(tz.matmul(tz.concat(heads, axis=1), p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
+    return out, tz.concat(maps, axis=0)
+
+
+@pytest.mark.parametrize(
+    "prefix, causal, cross",
+    [("vis.0.attn", False, False), ("dec.0.self", True, False), ("dec.0.cross", False, True)],
+)
+def test_attention_matches_per_head_loop_bitwise(prefix, causal, cross):
+    # default geometry: at smaller widths and lengths a gradient that
+    # reaches a reduction in another memory layout can still sum to the
+    # same bits, and this test would miss it
+    cfg = ModelConfig()
+    model = HazardModel(cfg, seed=1)
+    rng = np.random.default_rng(7)
+    n_q, n_kv = cfg.n_patches, (cfg.n_patches + 5 if cross else cfg.n_patches)
+
+    def rand(*shape, grad=False):
+        return Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=grad)
+
+    x = rand(n_q, cfg.embed_dim, grad=True)
+    kv = rand(n_kv, cfg.latent_dim, grad=True) if cross else None
+    w_out, w_map = rand(n_q, cfg.embed_dim), rand(cfg.heads, n_q, n_kv)
+    leaves = {n: t for n, t in model.params.tensors.items() if n.startswith(f"{prefix}.")}
+    leaves["x"] = x
+    if cross:
+        leaves["kv"] = kv
+
+    results = []
+    for attention in (model._attention, lambda *a: _per_head_attention(model, *a)):
+        with tz.Tape() as tape:
+            out, maps = attention(x, kv, prefix, causal)
+            loss = tz.add(tz.tsum(tz.mul(out, w_out)), tz.tsum(tz.mul(maps, w_map)))
+        tape.backward(loss)
+        results.append((out.data, maps.data, {n: t.grad for n, t in leaves.items()}))
+        for t in leaves.values():
+            t.zero_grad()
+
+    (out, maps, grads), (ref_out, ref_maps, ref_grads) = results
+    assert maps.shape == (cfg.heads, n_q, n_kv)
+    np.testing.assert_array_equal(out, ref_out)
+    np.testing.assert_array_equal(maps, ref_maps)
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        np.testing.assert_array_equal(grads[name], ref_grads[name], err_msg=name)
+
+
+def test_training_sample_tape_pin():
+    # attention batches its heads: the remaining slices are the text and
+    # decoder positional rows, the remaining concat is fuse
+    samples = synth_generate(1, SynthConfig(), seed=0)
+    vocab = build_vocab([s.caption for s in samples] + [HAZARD_PROMPT])
+    model = HazardModel(ModelConfig(vocab_size=len(vocab)), seed=0)
+    prompt_ids = tokenize(HAZARD_PROMPT, vocab)
+    with tz.Tape() as tape:
+        sample_losses(model, samples[0], prompt_ids, vocab, TrainConfig().soft_argmax_tau)
+    ops = Counter(node.op for node in tape.nodes)
+    assert len(tape.nodes) == 260
+    assert (ops["matmul"], ops["slice_axis"], ops["softmax"], ops["concat"]) == (64, 2, 9, 1)
 
 
 # ---------------------------------------------------------------------------

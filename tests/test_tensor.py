@@ -39,8 +39,19 @@ def test_matmul_hand_expansion():
 
 
 def test_matmul_shape_mismatch():
-    with pytest.raises(T.ShapeError):
-        T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+    # inner dims, leading dims of a rank-3 pair, and mixed ranks
+    for a_shape, b_shape in [((2, 3), (2, 3)), ((2, 3, 4), (3, 4, 2)), ((3, 4), (2, 4, 2))]:
+        with pytest.raises(T.ShapeError):
+            T.matmul(Tensor(np.zeros(a_shape)), Tensor(np.zeros(b_shape)))
+
+
+def test_matmul_batched_is_one_product_per_leading_index():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((3, 2, 4)).astype(np.float32)
+    b = rng.standard_normal((3, 4, 5)).astype(np.float32)
+    out = T.matmul(Tensor(a), Tensor(b)).data
+    for i in range(3):
+        np.testing.assert_array_equal(out[i], T.matmul(Tensor(a[i]), Tensor(b[i])).data)
 
 
 def test_softmax_constant_vector():

@@ -272,6 +272,14 @@ def test_evaluate_max_samples_and_empty():
         evaluate(model, [], vocab)
 
 
+def test_evaluate_rejects_negative_max_samples():
+    samples, vocab = make_dataset(4)
+    model = small_model(vocab)
+    # a negative cap would slice off the tail, not cap the head
+    with pytest.raises(ValueError, match="max_samples"):
+        evaluate(model, samples, vocab, max_samples=-1)
+
+
 def test_train_streams_log(tmp_path):
     samples, vocab = make_dataset(6)
     model = small_model(vocab)
