@@ -27,17 +27,17 @@ from .data import (
 )
 # unused here; the benchmark tracer patches these two names on this module
 from .localization import grid_to_pixel, hard_argmax  # noqa: F401
-from .model import HazardModel, ModelConfig
+from .model import HazardModel, ModelConfig, check_sampling
 from .optim import DivergenceError, convergence_probe, fitted_loglog_slope, probe_table
 from .tensor import Tensor
 from .training import (
     HAZARD_PROMPT,
     CheckpointError,
+    Predictor,
     TrainConfig,
     TrainingDiverged,
     apply_checkpoint,
     evaluate,
-    infer,
     load_checkpoint,
     train,
 )
@@ -102,7 +102,10 @@ def config_for(cls, cfg, **extra):
     """An instance of library config ``cls`` with its fields taken from the
     run config ``cfg``; ``extra`` supplies the non-configurable ones."""
     names = [f.name for f in dataclasses.fields(cls) if f.name not in _NOT_CONFIGURABLE]
-    return cls(**{name: getattr(cfg, name) for name in names}, **extra)
+    try:
+        return cls(**{name: getattr(cfg, name) for name in names}, **extra)
+    except ValueError as exc:  # a value the library's validation rejects
+        raise UsageError(f"bad config: {exc}") from exc
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -267,6 +270,11 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = build_run_config(args)
+    top_p = 0.0 if args.greedy else cfg.top_p
+    try:
+        check_sampling(top_p, cfg.temperature)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     model, vocab = _restore_model(cfg, args.checkpoint, args.vocab)
     try:
         image = load_image(args.image)
@@ -275,14 +283,8 @@ def cmd_predict(args) -> int:
     expected = (cfg.channels, cfg.image_size, cfg.image_size)
     if image.shape != expected:
         raise DataError(f"image shape {image.shape} does not match configured {expected}")
-    point, ids = infer(
-        model,
-        Tensor(image),
-        tokenize(HAZARD_PROMPT, vocab),
-        top_p=0.0 if args.greedy else cfg.top_p,
-        temperature=cfg.temperature,
-        seed=cfg.seed,
-    )
+    predict = Predictor(model, tokenize(HAZARD_PROMPT, vocab))
+    point, ids = predict(Tensor(image), top_p=top_p, temperature=cfg.temperature, seed=cfg.seed)
     output = f"hazard=({point.x:g}, {point.y:g})\n{detokenize(ids, vocab)}\n"
     print(output, end="")
     if args.out:
@@ -304,7 +306,7 @@ def cmd_probe(args) -> int:
         lines = [f"{t},{v!r}" for t, v in rows]
         Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     slope = fitted_loglog_slope(rows)
-    if not -3.0 < slope < 0.0:
+    if slope is not None and not -3.0 < slope < 0.0:
         print(f"warning: unexpected trend slope {slope:.3f}", file=sys.stderr)
     return EXIT_OK
 

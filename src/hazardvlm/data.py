@@ -136,7 +136,7 @@ _ERROR_CATEGORY = {
 
 
 def _categorize(exc: Exception) -> str:
-    if isinstance(exc, json.JSONDecodeError):
+    if isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError)):
         return "json"
     if isinstance(exc, (FileNotFoundError,)):
         return "image"
@@ -153,24 +153,29 @@ def load_dataset(
     """Parse a JSONL dataset, validating every record.
 
     Returns (accepted samples, rejections); each rejection names its line
-    number and error category. An empty file is an empty dataset, not an
-    error.
+    number and error category, and a line that is not UTF-8 is one. An
+    empty file is an empty dataset, not an error; a file that cannot be
+    read is a DataError.
     """
     path = Path(path)
     root = Path(image_root) if image_root is not None else path.parent
     samples: list[AnnotatedSample] = []
     errors: list[RecordError] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError("record must be a JSON object")
-                samples.append(_parse_record(record, root))
-            except Exception as exc:  # noqa: BLE001 - every failure becomes a diagnostic
-                errors.append(RecordError(line=lineno, category=_categorize(exc), message=str(exc)))
+    try:
+        # surrogateescape keeps undecodable bytes, so they fail their own line
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line.encode("utf-8", "surrogateescape").decode("utf-8"))
+                    if not isinstance(record, dict):
+                        raise ValueError("record must be a JSON object")
+                    samples.append(_parse_record(record, root))
+                except Exception as exc:  # noqa: BLE001 - every failure becomes a diagnostic
+                    errors.append(RecordError(line=lineno, category=_categorize(exc), message=str(exc)))
+    except OSError as exc:
+        raise DataError(f"cannot read dataset {path}: {exc}") from exc
     return samples, errors
 
 

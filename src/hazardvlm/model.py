@@ -10,6 +10,7 @@ adapters enabled the base weights stay frozen.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -135,6 +136,34 @@ def lora_target_names(config: ModelConfig) -> list[str]:
     else:
         names += ["proj.img.w2", "proj.txt.w2"]
     return names
+
+
+class KVCache:
+    """One decoder layer's self-attention keys (h x dh x n) and values
+    (h x n x dh) for the positions decoded so far."""
+
+    def __init__(self):
+        self.keys: Tensor | None = None
+        self.values: Tensor | None = None
+
+    def extend(self, keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
+        """Append new positions' keys and values; return all of them."""
+        if self.keys is not None:
+            keys = tz.concat([self.keys, keys], axis=2)
+            values = tz.concat([self.values, values], axis=1)
+        self.keys, self.values = keys, values
+        return keys, values
+
+
+@dataclass
+class DecodeCache:
+    """What an incremental decode keeps between steps, per decoder layer:
+    the cross-attention keys and values of the fused latents, computed
+    once, and the self-attention cache; ``length`` positions are cached."""
+
+    cross: list[tuple[Tensor, Tensor]]
+    own: list[KVCache]
+    length: int = 0
 
 
 class HazardModel:
@@ -265,6 +294,22 @@ class HazardModel:
         for name, t in self.params.tensors.items():
             t.requires_grad = name in trainable
 
+    def merged(self) -> "HazardModel":
+        """An inference view of this model with each adapter merged into its
+        base weight once (W + A.B, the same bits as on every use). It shares
+        every other tensor, has no adapters and records no gradient to the
+        adapters; rebuild it after the adapters change. Without adapters,
+        the model itself."""
+        if not self.lora_enabled:
+            return self
+        view = copy.copy(self)
+        tensors = dict(self.params.tensors)
+        for name, adapter in self.params.adapters.items():
+            tensors[name] = Tensor(effective_weight(tensors[name], adapter).data)
+        view.params = ModelParams(tensors=tensors)
+        view.lora_enabled = False
+        return view
+
     def trainable_tensors(self) -> dict[str, Tensor]:
         return {n: self.params.tensors[n] for n in sorted(self.params.trainable)}
 
@@ -284,28 +329,50 @@ class HazardModel:
     def _p(self, name: str) -> Tensor:
         return self.params.tensors[name]
 
-    def _attention(self, x: Tensor, kv: Tensor, prefix: str, causal: bool):
-        """Multi-head scaled dot-product attention; returns (output,
+    def _split_heads(self, x: Tensor, keys: bool = False) -> Tensor:
+        """n x d rows to h x n x dh, or h x dh x n for keys; a single row is
+        already in that layout, so it needs a reshape and no permute."""
+        cfg = self.config
+        h, n = cfg.heads, x.shape[0]
+        dh = cfg.embed_dim // h
+        if n == 1:
+            return tz.reshape(x, (h, dh, 1) if keys else (h, 1, dh))
+        return tz.permute(tz.reshape(x, (n, h, dh)), (1, 2, 0) if keys else (1, 0, 2))
+
+    def _keys_values(self, kv: Tensor, prefix: str) -> tuple[Tensor, Tensor]:
+        """Keys (h x dh x n) and values (h x n x dh) of kv's rows."""
+        k = tz.add(tz.matmul(kv, self._w(f"{prefix}.wk")), self._p(f"{prefix}.bk"))
+        v = tz.add(tz.matmul(kv, self._w(f"{prefix}.wv")), self._p(f"{prefix}.bv"))
+        return self._split_heads(k, keys=True), self._split_heads(v)
+
+    def _attention(self, x: Tensor, kv, prefix: str, causal: bool, cache: KVCache | None = None):
+        """Multi-head scaled dot-product attention of x's rows over kv: a row
+        tensor, None for x itself, or a (keys, values) pair already in head
+        layout. With a cache, x's own keys and values follow the cached ones
+        of earlier positions and are appended to them. Returns (output,
         per-head maps as an h x n_q x n_kv tensor)."""
         cfg = self.config
         h, d = cfg.heads, cfg.embed_dim
-        dh = d // h
-        if kv is None:
-            kv = x
         q = tz.add(tz.matmul(x, self._w(f"{prefix}.wq")), self._p(f"{prefix}.bq"))
-        kmat = tz.add(tz.matmul(kv, self._w(f"{prefix}.wk")), self._p(f"{prefix}.bk"))
-        v = tz.add(tz.matmul(kv, self._w(f"{prefix}.wv")), self._p(f"{prefix}.bv"))
-        n_q, n_kv = q.shape[0], kmat.shape[0]
-        # n x d -> h x n x dh (keys h x dh x n): every head in one product
-        qh = tz.permute(tz.reshape(q, (n_q, h, dh)), (1, 0, 2))
-        kh = tz.permute(tz.reshape(kmat, (n_kv, h, dh)), (1, 2, 0))
-        vh = tz.permute(tz.reshape(v, (n_kv, h, dh)), (1, 0, 2))
-        scores = tz.scale(tz.matmul(qh, kh), 1.0 / math.sqrt(dh))
-        if causal:
-            mask = np.triu(np.full((n_q, n_kv), MASK_VALUE, np.float32), k=1)
+        if isinstance(kv, tuple):
+            kh, vh = kv
+        else:
+            kh, vh = self._keys_values(x if kv is None else kv, prefix)
+            if cache is not None:
+                kh, vh = cache.extend(kh, vh)
+        # every head in one product
+        qh = self._split_heads(q)
+        n_q, n_kv = q.shape[0], kh.shape[2]
+        scores = tz.scale(tz.matmul(qh, kh), 1.0 / math.sqrt(d // h))
+        if causal and n_q > 1:
+            # query i is position n_kv - n_q + i and sees keys up to it
+            mask = np.triu(np.full((n_q, n_kv), MASK_VALUE, np.float32), k=1 + n_kv - n_q)
             scores = tz.add(scores, Tensor(mask))
         attn = tz.softmax(scores, axis=2)
-        out = tz.reshape(tz.permute(tz.matmul(attn, vh), (1, 0, 2)), (n_q, d))
+        out = tz.matmul(attn, vh)
+        if n_q > 1:
+            out = tz.permute(out, (1, 0, 2))
+        out = tz.reshape(out, (n_q, d))
         out = tz.add(tz.matmul(out, self._w(f"{prefix}.wo")), self._p(f"{prefix}.bo"))
         return out, attn
 
@@ -376,17 +443,26 @@ class HazardModel:
             )
         return tz.concat([e_img, e_text], axis=0)
 
-    def _decoder_states(self, fused: Tensor, input_ids: list[int]) -> Tensor:
+    def _decoder_states(self, fused: Tensor, input_ids: list[int], cache: DecodeCache | None = None) -> Tensor:
+        """Logits for input_ids. Without a cache they are the whole sequence
+        and attend to fused (teacher forcing); with one they are the next
+        positions after the cached ones, fused's keys and values come from
+        the cache, and the cache grows by them."""
         cfg = self.config
+        start = 0 if cache is None else cache.length
         x = tz.take_rows(self._p("dec.embed"), input_ids)
-        x = tz.add(x, tz.slice_axis(self._p("dec.pos"), 0, 0, len(input_ids)))
+        x = tz.add(x, tz.slice_axis(self._p("dec.pos"), 0, start, start + len(input_ids)))
         for i in range(cfg.decoder_layers):
             prefix = f"dec.{i}"
-            sa, _ = self._attention(self._ln(x, f"{prefix}.ln1"), kv=None, prefix=f"{prefix}.self", causal=True)
+            own = None if cache is None else cache.own[i]
+            memory = fused if cache is None else cache.cross[i]
+            sa, _ = self._attention(self._ln(x, f"{prefix}.ln1"), None, f"{prefix}.self", True, own)
             x = tz.add(x, sa)
-            ca, _ = self._attention(self._ln(x, f"{prefix}.ln2"), kv=fused, prefix=f"{prefix}.cross", causal=False)
+            ca, _ = self._attention(self._ln(x, f"{prefix}.ln2"), memory, f"{prefix}.cross", False)
             x = tz.add(x, ca)
             x = tz.add(x, self._ffn(self._ln(x, f"{prefix}.ln3"), f"{prefix}.ffn"))
+        if cache is not None:
+            cache.length += len(input_ids)
         x = self._ln(x, "dec.ln_f")
         return tz.add(tz.matmul(x, self._w("dec.out.w")), self._p("dec.out.b"))
 
@@ -411,25 +487,36 @@ class HazardModel:
         temperature: float = 0.95,
         seed: int = 0,
     ) -> list[int]:
-        """Nucleus sampling; stops at the end token or max_len tokens."""
-        if not 0.0 <= top_p <= 1.0:
-            raise ValueError(f"top_p must be in [0, 1], got {top_p}")
-        if temperature <= 0.0:
-            raise ValueError(f"temperature must be positive, got {temperature}")
+        """Nucleus sampling; stops at the end token or max_len tokens. Each
+        step runs the decoder on the newest token only, over the keys and
+        values cached by the steps before it."""
+        check_sampling(top_p, temperature)
         if max_len > self.config.max_caption_len:
             raise ValueError(f"max_len {max_len} exceeds max caption length")
         rng = np.random.default_rng(seed)
-        ids = [START_ID]
+        layers = range(self.config.decoder_layers)
+        cache = DecodeCache(
+            cross=[self._keys_values(fused, f"dec.{i}.cross") for i in layers],
+            own=[KVCache() for _ in layers],
+        )
+        token = START_ID
         out: list[int] = []
         for _ in range(max_len):
-            logits = self._decoder_states(fused, ids).data[-1].astype(np.float64)
+            logits = self._decoder_states(fused, [token], cache).data[-1].astype(np.float64)
             keep, probs = nucleus(logits, top_p, temperature)
             token = int(rng.choice(keep, p=probs))
             if token == END_ID:
                 break
             out.append(token)
-            ids.append(token)
         return out
+
+
+def check_sampling(top_p: float, temperature: float) -> None:
+    """Raise ValueError unless top_p is in [0, 1] and temperature > 0."""
+    if not 0.0 <= top_p <= 1.0:
+        raise ValueError(f"top_p must be in [0, 1], got {top_p}")
+    if not temperature > 0.0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
 
 
 def nucleus(logits: np.ndarray, top_p: float, temperature: float) -> tuple[np.ndarray, np.ndarray]:

@@ -217,8 +217,11 @@ def convergence_probe(
     return [(t, sums[t] / len(seeds)) for t in checkpoints]
 
 
-def fitted_loglog_slope(rows: Sequence[tuple[int, float]]) -> float:
-    """Least-squares slope of log(min grad norm^2) against log(T)."""
+def fitted_loglog_slope(rows: Sequence[tuple[int, float]]) -> float | None:
+    """Least-squares slope of log(min grad norm^2) against log(T); None
+    when the rows hold fewer than two distinct horizons, which fit no line."""
+    if len({r[0] for r in rows}) < 2:
+        return None
     t = np.log([r[0] for r in rows])
     v = np.log([max(r[1], 1e-300) for r in rows])
     return float(np.polyfit(t, v, 1)[0])
@@ -230,5 +233,6 @@ def probe_table(rows: Sequence[tuple[int, float]]) -> str:
     for t, v in rows:
         lines.append(f"{t:>10d}  {v:>14.6e}")
     lines.append("")
-    lines.append(f"fitted log-log slope: {fitted_loglog_slope(rows):.4f}")
+    slope = fitted_loglog_slope(rows)
+    lines.append(f"fitted log-log slope: {'n/a' if slope is None else f'{slope:.4f}'}")
     return "\n".join(lines)

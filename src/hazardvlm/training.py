@@ -263,24 +263,33 @@ def _take_grads(trainable: dict[str, Tensor]) -> dict[str, np.ndarray]:
     return grads
 
 
-def infer(
-    model: HazardModel,
-    image,
-    prompt_ids: Sequence[int],
-    top_p: float = 0.0,
-    temperature: float = 1.0,
-    seed: int = 0,
-) -> tuple[PixelPoint, list[int]]:
+class Predictor:
     """Hazard point (hard argmax of the attention map) and caption token ids
-    for one image; top_p 0 decodes greedily."""
-    feats, amap = model.encode_image(image)
-    point = grid_to_pixel(hard_argmax(amap), model.config.patch_size, model.config.image_size)
-    text_feats = model.encode_text(prompt_ids)
-    fused = model.fuse(model.project(feats, "image"), model.project(text_feats, "text"))
-    ids = model.generate(
-        fused, max_len=model.config.max_caption_len, top_p=top_p, temperature=temperature, seed=seed
-    )
-    return point, ids
+    for images, from one model and text prompt.
+
+    Construction does the per-model work once: every adapter is merged into
+    its base weight (``HazardModel.merged``) and the prompt's projected
+    latent is computed. Build one outside a Tape, and a new one whenever
+    the weights change: ``evaluate`` builds one per call.
+    """
+
+    def __init__(self, model: HazardModel, prompt_ids: Sequence[int]):
+        self.model = model.merged()
+        self.prompt_latent = self.model.project(self.model.encode_text(prompt_ids), "text")
+
+    def __call__(
+        self, image, top_p: float = 0.0, temperature: float = 1.0, seed: int = 0
+    ) -> tuple[PixelPoint, list[int]]:
+        """Point and caption ids for one image; top_p 0 decodes greedily."""
+        model = self.model
+        cfg = model.config
+        feats, amap = model.encode_image(image)
+        point = grid_to_pixel(hard_argmax(amap), cfg.patch_size, cfg.image_size)
+        fused = model.fuse(model.project(feats, "image"), self.prompt_latent)
+        ids = model.generate(
+            fused, max_len=cfg.max_caption_len, top_p=top_p, temperature=temperature, seed=seed
+        )
+        return point, ids
 
 
 def evaluate(
@@ -295,11 +304,11 @@ def evaluate(
         raise ValueError("empty evaluation set")
     if max_samples is not None and max_samples < 0:
         raise ValueError(f"max_samples must be >= 0 (0 or None: no cap), got {max_samples}")
-    prompt_ids = tokenize(HAZARD_PROMPT, vocab)
+    predict = Predictor(model, tokenize(HAZARD_PROMPT, vocab))
     limit = len(samples) if not max_samples else min(len(samples), max_samples)
     refs, cands, truths, preds = [], [], [], []
     for sample in samples[:limit]:
-        point, ids = infer(model, Tensor(sample.image), prompt_ids)
+        point, ids = predict(Tensor(sample.image))
         refs.append(normalize(sample.caption))
         cands.append(detokenize(ids, vocab).split())
         truths.append(sample.hazard)

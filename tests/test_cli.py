@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -280,6 +281,45 @@ def test_lora_checkpoint_round_trips_through_eval(tmp_path, conf, trained, capsy
     assert "bleu4 = " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "command, line",
+    [("train", "epochs = 0"), ("predict", "patch_size = 5"), ("predict", "temperature = 0"), ("predict", "top_p = 1.5")],
+)
+def test_config_value_the_library_rejects_is_usage_error(tmp_path, trained, capsys, command, line):
+    data, ckpt = trained
+    bad = tmp_path / "bad.conf"
+    bad.write_text(SMALL_CONF + line + "\n")
+    if command == "train":
+        argv = ["train", "--dataset", str(data), "--out", str(tmp_path / "x.ckpt")]
+    else:
+        img = tmp_path / "img.npy"
+        np.save(img, load_dataset(data)[0][0].image)
+        argv = ["predict", "--checkpoint", str(ckpt), "--image", str(img)]
+    rc = main([*argv, "--config", str(bad)])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("kind", ["not_utf8", "directory"])
+def test_unreadable_dataset_is_data_error(tmp_path, conf, trained, capsys, command, kind):
+    dataset = tmp_path / "bad"
+    if kind == "directory":
+        dataset.mkdir()
+    else:
+        dataset.write_bytes(b'{"caption": "caf\xe9"}\n')
+    if command == "train":
+        argv = ["train", "--out", str(tmp_path / "x.ckpt")]
+    else:
+        argv = ["eval", "--checkpoint", str(trained[1])]
+    rc = main([*argv, "--config", conf, "--dataset", str(dataset)])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error: " in err
+    if kind == "not_utf8":
+        assert err.startswith("line 1: [json] ")
+
+
 # ---------------------------------------------------------------------------
 # probe
 # ---------------------------------------------------------------------------
@@ -306,6 +346,17 @@ def test_probe_malformed_arguments_are_usage_errors(flags, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("usage error: ")
     assert "slope" not in captured.out
+
+
+def test_probe_single_horizon_prints_no_slope(capsys):
+    # a line through one point: no fit, so no numpy RankWarning and no trend warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["probe", "--seeds", "1", "--t-list", "10"])
+    assert rc == EXIT_OK
+    captured = capsys.readouterr()
+    assert "fitted log-log slope: n/a" in captured.out
+    assert captured.err == ""
 
 
 def test_probe_divergence_exit_code(capsys):

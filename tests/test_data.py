@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,6 +142,45 @@ def test_save_load_round_trip(tmp_path):
         assert a.caption == b.caption
         assert a.category == b.category
         np.testing.assert_allclose(a.image, b.image, atol=1e-5)
+
+
+def test_undecodable_line_is_a_record_error(tmp_path):
+    p = tmp_path / "d.jsonl"
+    good = json.dumps(valid_record()).encode()
+    p.write_bytes(good + b"\n" + b'{"caption": "caf\xe9"}\n' + good + b"\n")
+    samples, errors = load_dataset(p)
+    assert len(samples) == 2
+    assert [(e.line, e.category) for e in errors] == [(2, "json")]
+    assert "can't decode byte 0xe9" in errors[0].message
+
+
+def test_unreadable_dataset_is_data_error(tmp_path):
+    with pytest.raises(DataError, match="cannot read dataset"):
+        load_dataset(tmp_path)  # a directory
+    with pytest.raises(DataError, match="cannot read dataset"):
+        load_dataset(tmp_path / "missing.jsonl")
+
+
+_VALID_LINE = json.dumps(valid_record()).encode()
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.binary(max_size=48),
+            st.sampled_from([_VALID_LINE, _VALID_LINE[:30], b"\xff\xfe{}", b'{"image": "\xc3"}']),
+        ),
+        max_size=8,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_random_byte_lines_never_raise(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "d.jsonl"
+        p.write_bytes(b"\n".join(lines))
+        samples, errors = load_dataset(p)
+    assert len(samples) == lines.count(_VALID_LINE)
+    assert all(e.line >= 1 and e.category in ("json", "schema", "image", "hazard", "caption") for e in errors)
 
 
 # ---------------------------------------------------------------------------

@@ -504,3 +504,86 @@ def test_generate_validates_arguments(tiny_model):
         tiny_model.generate(fused, max_len=4, temperature=0.0)
     with pytest.raises(ValueError):
         tiny_model.generate(fused, max_len=TINY.max_caption_len + 1)
+
+
+def _full_recompute_generate(model, fused, max_len, top_p, temperature, seed):
+    """Reference: the decoder re-run on the whole prefix for every token.
+    Returns (tokens, each step's last-position logits)."""
+    from hazardvlm.model import END_ID, START_ID
+
+    rng = np.random.default_rng(seed)
+    ids, out, steps = [START_ID], [], []
+    for _ in range(max_len):
+        logits = model._decoder_states(fused, ids).data[-1].astype(np.float64)
+        steps.append(logits)
+        keep, probs = nucleus(logits, top_p, temperature)
+        token = int(rng.choice(keep, p=probs))
+        if token == END_ID:
+            break
+        out.append(token)
+        ids.append(token)
+    return out, steps
+
+
+@pytest.fixture(scope="module", params=["base", "lora"])
+def default_model(request):
+    model = HazardModel(ModelConfig(), seed=2)
+    if request.param == "lora":
+        model.enable_lora(seed=2)
+        rng = np.random.default_rng(5)
+        for adapter in model.params.adapters.values():
+            adapter.b.data = rng.normal(0.0, 0.5, adapter.b.shape).astype(np.float32)
+    return model
+
+
+@pytest.mark.parametrize(
+    "top_p, temperature, seed",
+    [(0.0, 1.0, 0), (0.9, 0.95, 0), (0.9, 0.95, 7), (1.0, 0.95, 3)],
+    ids=["greedy", "nucleus_seed0", "nucleus_seed7", "top_p_one_seed3"],
+)
+def test_cached_generate_matches_full_recompute(default_model, monkeypatch, top_p, temperature, seed):
+    model = default_model
+    cfg = model.config
+    steps, positions = [], []
+    take_rows = tz.take_rows
+
+    def counting_take_rows(table, indices):
+        positions.append(len(indices))
+        return take_rows(table, indices)
+
+    decoder_states = model._decoder_states
+
+    def recording_decoder_states(*args):
+        logits = decoder_states(*args)
+        steps.append(logits.data[-1].astype(np.float64))
+        return logits
+
+    for scene in range(4):
+        fused = _fused(model, seed=scene)
+        ref_ids, ref_steps = _full_recompute_generate(model, fused, cfg.max_caption_len, top_p, temperature, seed)
+        steps.clear()
+        positions.clear()
+        with monkeypatch.context() as m:
+            m.setattr(tz, "take_rows", counting_take_rows)
+            m.setattr(model, "_decoder_states", recording_decoder_states)
+            ids = model.generate(fused, cfg.max_caption_len, top_p=top_p, temperature=temperature, seed=seed)
+        assert ids == ref_ids
+        # one decoder step per emitted token (and the end token), each on
+        # the newest position only
+        assert positions == [1] * len(ref_steps)
+        assert len(steps) == len(ref_steps)
+        np.testing.assert_allclose(steps, ref_steps, rtol=0, atol=1e-5)
+
+
+def test_merged_view_is_bit_identical_and_leaves_the_model_alone(default_model):
+    model = default_model
+    view = model.merged()
+    if not model.lora_enabled:
+        assert view is model
+        return
+    image = rand_image(0, model.config)
+    (feats, amap), (view_feats, view_amap) = model.encode_image(image), view.encode_image(image)
+    np.testing.assert_array_equal(view_feats.data, feats.data)
+    np.testing.assert_array_equal(view_amap.grid.data, amap.grid.data)
+    assert not view.params.adapters
+    assert model.lora_enabled and model.params.adapters

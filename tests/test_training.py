@@ -1,7 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from hazardvlm.data import SynthConfig, build_vocab, synth_generate
+from hazardvlm import tensor as tz
+from hazardvlm.data import SynthConfig, build_vocab, detokenize, normalize, synth_generate, tokenize
+from hazardvlm.localization import grid_to_pixel, hard_argmax
+from hazardvlm.metrics import corpus_report
 from hazardvlm.model import HazardModel, ModelConfig
 from hazardvlm.optim import AdamWState, ScheduleConfig, lr_at
 from hazardvlm.training import (
@@ -17,9 +22,11 @@ from hazardvlm.training import (
     apply_checkpoint,
     evaluate,
     load_checkpoint,
+    sample_losses,
     save_checkpoint,
     train,
 )
+from hazardvlm.tensor import Tape, Tensor
 
 SMALL_MODEL = ModelConfig(
     image_size=16,
@@ -205,6 +212,9 @@ class _EchoModel:
         self._samples = samples
         self._cursor = -1
 
+    def merged(self):
+        return self
+
     def encode_image(self, image):
         from hazardvlm.localization import AttentionMap
         from hazardvlm.tensor import Tensor
@@ -250,6 +260,68 @@ def test_evaluate_echo_model_is_perfect():
     assert report.bleu4 == 1.0
     assert report.rougeL == 1.0
     assert report.mse_pixels == 0.0
+
+
+def _lora_model(vocab):
+    model = small_model(vocab)
+    model.enable_lora(seed=0)
+    rng = np.random.default_rng(3)
+    for adapter in model.params.adapters.values():
+        adapter.b.data = rng.normal(0.0, 0.5, adapter.b.shape).astype(np.float32)
+    return model
+
+
+def test_evaluate_merges_each_adapter_and_encodes_the_prompt_once(monkeypatch):
+    import hazardvlm.model as model_module
+
+    samples, vocab = make_dataset(5)
+    model = _lora_model(vocab)
+    # reference: per-use adapter products and the prompt encoded per sample
+    prompt_ids = tokenize(HAZARD_PROMPT, vocab)
+    refs, cands, truths, preds = [], [], [], []
+    for s in samples:
+        feats, amap = model.encode_image(Tensor(s.image))
+        fused = model.fuse(model.project(feats, "image"), model.project(model.encode_text(prompt_ids), "text"))
+        ids = model.generate(fused, max_len=model.config.max_caption_len, top_p=0.0, temperature=1.0)
+        refs.append(normalize(s.caption))
+        cands.append(detokenize(ids, vocab).split())
+        truths.append(s.hazard)
+        preds.append(grid_to_pixel(hard_argmax(amap), model.config.patch_size, model.config.image_size))
+    expected = corpus_report(refs, truths, cands, preds)
+
+    merges, prompt_encodes = Counter(), []
+    effective_weight, encode_text = model_module.effective_weight, HazardModel.encode_text
+
+    def counting_effective_weight(w, adapter):
+        merges[adapter.target] += 1
+        return effective_weight(w, adapter)
+
+    def counting_encode_text(self, tokens):
+        prompt_encodes.append(list(tokens))
+        return encode_text(self, tokens)
+
+    monkeypatch.setattr(model_module, "effective_weight", counting_effective_weight)
+    monkeypatch.setattr(HazardModel, "encode_text", counting_encode_text)
+    assert evaluate(model, samples, vocab) == expected
+    assert merges == Counter(list(model.params.adapters))
+    assert prompt_encodes == [prompt_ids]
+
+
+def test_evaluate_leaves_lora_training_intact():
+    samples, vocab = make_dataset(3)
+    model = _lora_model(vocab)
+    before = {n: t.data.tobytes() for n, t in model.params.tensors.items()}
+    evaluate(model, samples, vocab)
+    assert {n: t.data.tobytes() for n, t in model.params.tensors.items()} == before
+    prompt_ids = tokenize(HAZARD_PROMPT, vocab)
+    with Tape() as tape:
+        closs, tloss = sample_losses(model, samples[0], prompt_ids, vocab, tau=0.5)
+        loss = tz.add(closs, tloss)
+    tape.backward(loss)
+    b_grads = {n: t.grad for n, t in model.params.tensors.items() if n.startswith("lora.") and n.endswith(".b")}
+    assert len(b_grads) == len(model.params.adapters)
+    for name, grad in b_grads.items():
+        assert grad is not None and np.abs(grad).sum() > 0, name
 
 
 def test_evaluate_report_schema_and_determinism():
