@@ -235,7 +235,12 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        return cls(Path(path).read_text(encoding="utf-8").splitlines())
+        """A vocabulary saved by ``save``; an unreadable or malformed file
+        is a DataError."""
+        try:
+            return cls(Path(path).read_text(encoding="utf-8").splitlines())
+        except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+            raise DataError(f"cannot read vocabulary {path}: {exc}") from exc
 
 
 def normalize(text: str) -> list[str]:

@@ -22,21 +22,22 @@ DEFAULT_TAU = 0.5
 
 @dataclass
 class AttentionMap:
-    """Non-negative spatial weight grid summing to 1 (within 1e-6)."""
+    """Non-negative spatial weight grid summing to 1 (within 1e-6), or a
+    stack of such grids with one leading batch axis."""
 
     grid: Tensor
 
     def __post_init__(self):
-        if self.grid.data.ndim != 2:
-            raise ValueError(f"attention map must be 2-D, got shape {self.grid.shape}")
+        if self.grid.data.ndim not in (2, 3):
+            raise ValueError(f"attention map must be 2-D or a stack of 2-D grids, got shape {self.grid.shape}")
 
     @property
     def height(self) -> int:
-        return self.grid.shape[0]
+        return self.grid.shape[-2]
 
     @property
     def width(self) -> int:
-        return self.grid.shape[1]
+        return self.grid.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -48,15 +49,16 @@ class PixelPoint:
 
 
 def aggregate_heads(per_head: Tensor, grid_shape: tuple[int, int] | None = None) -> AttentionMap:
-    """Reduce h x n x n per-head attention to one mass per key position.
+    """Reduce h x n x n per-head attention to one mass per key position, or
+    each of a B x h x n x n stack to a stack of B maps.
 
     Mean over heads, then over query positions, renormalized and reshaped
     to the (square by default) patch grid. Stays on the tape, so training
     gradients flow back into the attention weights.
     """
-    if per_head.data.ndim != 3 or per_head.shape[1] != per_head.shape[2]:
-        raise ValueError(f"expected h x n x n attention, got {per_head.shape}")
-    n = per_head.shape[1]
+    if per_head.data.ndim not in (3, 4) or per_head.shape[-2] != per_head.shape[-1]:
+        raise ValueError(f"expected h x n x n attention or a stack of them, got {per_head.shape}")
+    *lead, _, n, _ = per_head.shape
     if grid_shape is None:
         side = math.isqrt(n)
         if side * side != n:
@@ -64,17 +66,17 @@ def aggregate_heads(per_head: Tensor, grid_shape: tuple[int, int] | None = None)
         grid_shape = (side, side)
     if grid_shape[0] * grid_shape[1] != n:
         raise ValueError(f"grid {grid_shape} incompatible with {n} positions")
-    mass = tz.mean(tz.mean(per_head, axis=0), axis=0)
-    normalized = tz.div(mass, tz.tsum(mass))
-    return AttentionMap(tz.reshape(normalized, grid_shape))
+    mass = tz.mean(tz.mean(per_head, axis=-3), axis=-2)
+    normalized = tz.div(mass, tz.tsum(mass, axis=-1, keepdims=True))
+    return AttentionMap(tz.reshape(normalized, (*lead, *grid_shape)))
 
 
-def hard_argmax(a: AttentionMap) -> tuple[int, int]:
-    """Grid cell (gx, gy) of the maximum entry; ties take the first
-    row-major occurrence."""
-    flat = int(np.argmax(a.grid.data))
-    gy, gx = divmod(flat, a.width)
-    return gx, gy
+def hard_argmax(a: AttentionMap):
+    """Grid cell (gx, gy) of the maximum entry, or one such cell per grid of
+    a stack; ties take the first row-major occurrence."""
+    grids = a.grid.data.reshape(-1, a.height * a.width)
+    cells = [divmod(int(flat), a.width)[::-1] for flat in np.argmax(grids, axis=1)]
+    return cells if a.grid.data.ndim == 3 else cells[0]
 
 
 def soft_argmax(a: AttentionMap, tau: float = DEFAULT_TAU) -> tuple[Tensor, Tensor]:

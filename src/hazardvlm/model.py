@@ -92,23 +92,25 @@ def effective_weight(w: Tensor, adapter: LoRAAdapter) -> Tensor:
 
 
 def patchify(image: Tensor, patch_size: int) -> Tensor:
-    """C x S x S image to (S/p)^2 x (C p^2) patch rows.
+    """C x S x S image to (S/p)^2 x (C p^2) patch rows, or a B x C x S x S
+    stack to B such row blocks.
 
     Patches are ordered row-major over the grid (top-left first, rows
     before columns); each output row is one flattened patch.
     """
     image = image if isinstance(image, Tensor) else Tensor(image)
-    if image.data.ndim != 3:
-        raise tz.ShapeError(f"expected C x S x S image, got shape {image.shape}")
-    c, s, s2 = image.shape
+    if image.data.ndim not in (3, 4):
+        raise tz.ShapeError(f"expected C x S x S image or a stack of them, got shape {image.shape}")
+    *lead, c, s, s2 = image.shape
     if s != s2:
         raise tz.ShapeError(f"image must be square, got {image.shape}")
     if s % patch_size:
         raise tz.ShapeError(f"size {s} not divisible by patch size {patch_size}")
     g = s // patch_size
-    x = tz.reshape(image, (c, g, patch_size, g, patch_size))
-    x = tz.permute(x, (1, 3, 0, 2, 4))  # gy, gx, c, py, px
-    return tz.reshape(x, (g * g, c * patch_size * patch_size))
+    b = len(lead)
+    x = tz.reshape(image, (*lead, c, g, patch_size, g, patch_size))
+    x = tz.permute(x, (*range(b), *(b + a for a in (1, 3, 0, 2, 4))))  # gy, gx, c, py, px
+    return tz.reshape(x, (*lead, g * g, c * patch_size * patch_size))
 
 
 @dataclass
@@ -138,32 +140,36 @@ def lora_target_names(config: ModelConfig) -> list[str]:
     return names
 
 
-class KVCache:
-    """One decoder layer's self-attention keys (h x dh x n) and values
-    (h x n x dh) for the positions decoded so far."""
-
-    def __init__(self):
-        self.keys: Tensor | None = None
-        self.values: Tensor | None = None
-
-    def extend(self, keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
-        """Append new positions' keys and values; return all of them."""
-        if self.keys is not None:
-            keys = tz.concat([self.keys, keys], axis=2)
-            values = tz.concat([self.values, values], axis=1)
-        self.keys, self.values = keys, values
-        return keys, values
-
-
-@dataclass
 class DecodeCache:
     """What an incremental decode keeps between steps, per decoder layer:
     the cross-attention keys and values of the fused latents, computed
-    once, and the self-attention cache; ``length`` positions are cached."""
+    once, and the self-attention keys and values of the ``length``
+    positions decoded so far. Keys are ... x h x dh x n and values
+    ... x h x n x dh; with a leading batch axis, each entry is one scene."""
 
-    cross: list[tuple[Tensor, Tensor]]
-    own: list[KVCache]
-    length: int = 0
+    def __init__(self, cross: list[tuple[Tensor, Tensor]]):
+        self.cross = cross
+        self.own: list[tuple[Tensor, Tensor] | None] = [None] * len(cross)
+        self.length = 0
+
+    def extend(self, layer: int, keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
+        """Append new positions' self-attention keys and values to layer's;
+        return all of them."""
+        if self.own[layer] is not None:
+            cached_keys, cached_values = self.own[layer]
+            keys = tz.concat([cached_keys, keys], axis=-1)
+            values = tz.concat([cached_values, values], axis=-2)
+        self.own[layer] = (keys, values)
+        return keys, values
+
+    def keep(self, live: np.ndarray) -> None:
+        """Keep only the scenes where the boolean mask ``live`` is set, by
+        plain indexing: the cache is inference state, never on a tape."""
+        def pick(pair):
+            return tuple(Tensor(t.data[live]) for t in pair)
+
+        self.cross = [pick(pair) for pair in self.cross]
+        self.own = [None if pair is None else pick(pair) for pair in self.own]
 
 
 class HazardModel:
@@ -330,49 +336,50 @@ class HazardModel:
         return self.params.tensors[name]
 
     def _split_heads(self, x: Tensor, keys: bool = False) -> Tensor:
-        """n x d rows to h x n x dh, or h x dh x n for keys; a single row is
-        already in that layout, so it needs a reshape and no permute."""
+        """... x n x d rows to ... x h x n x dh, or ... x h x dh x n for keys;
+        a single row is already in that layout, so it needs a reshape and no
+        permute."""
         cfg = self.config
-        h, n = cfg.heads, x.shape[0]
+        shape = x.data.shape
+        lead, n = shape[:-2], shape[-2]
+        h = cfg.heads
         dh = cfg.embed_dim // h
         if n == 1:
-            return tz.reshape(x, (h, dh, 1) if keys else (h, 1, dh))
-        return tz.permute(tz.reshape(x, (n, h, dh)), (1, 2, 0) if keys else (1, 0, 2))
+            return tz.reshape(x, lead + ((h, dh, 1) if keys else (h, 1, dh)))
+        b = len(lead)
+        axes = (b + 1, b + 2, b) if keys else (b + 1, b, b + 2)
+        return tz.permute(tz.reshape(x, lead + (n, h, dh)), tuple(range(b)) + axes)
 
     def _keys_values(self, kv: Tensor, prefix: str) -> tuple[Tensor, Tensor]:
-        """Keys (h x dh x n) and values (h x n x dh) of kv's rows."""
+        """Keys (... x h x dh x n) and values (... x h x n x dh) of kv's rows."""
         k = tz.add(tz.matmul(kv, self._w(f"{prefix}.wk")), self._p(f"{prefix}.bk"))
         v = tz.add(tz.matmul(kv, self._w(f"{prefix}.wv")), self._p(f"{prefix}.bv"))
         return self._split_heads(k, keys=True), self._split_heads(v)
 
-    def _attention(self, x: Tensor, kv, prefix: str, causal: bool, cache: KVCache | None = None):
-        """Multi-head scaled dot-product attention of x's rows over kv: a row
-        tensor, None for x itself, or a (keys, values) pair already in head
-        layout. With a cache, x's own keys and values follow the cached ones
-        of earlier positions and are appended to them. Returns (output,
-        per-head maps as an h x n_q x n_kv tensor)."""
+    def _attention(self, x: Tensor, kv, prefix: str, causal: bool):
+        """Multi-head scaled dot-product attention of x's rows (... x n_q x d)
+        over kv: a row tensor, None for x itself, or a (keys, values) pair
+        already in head layout. Returns (output, per-head maps as a
+        ... x h x n_q x n_kv tensor)."""
         cfg = self.config
         h, d = cfg.heads, cfg.embed_dim
         q = tz.add(tz.matmul(x, self._w(f"{prefix}.wq")), self._p(f"{prefix}.bq"))
-        if isinstance(kv, tuple):
-            kh, vh = kv
-        else:
-            kh, vh = self._keys_values(x if kv is None else kv, prefix)
-            if cache is not None:
-                kh, vh = cache.extend(kh, vh)
-        # every head in one product
+        kh, vh = kv if isinstance(kv, tuple) else self._keys_values(x if kv is None else kv, prefix)
+        # every head (and every scene) in one product
         qh = self._split_heads(q)
-        n_q, n_kv = q.shape[0], kh.shape[2]
+        lead, n_q = q.data.shape[:-2], q.data.shape[-2]
+        n_kv = kh.data.shape[-1]
         scores = tz.scale(tz.matmul(qh, kh), 1.0 / math.sqrt(d // h))
         if causal and n_q > 1:
             # query i is position n_kv - n_q + i and sees keys up to it
             mask = np.triu(np.full((n_q, n_kv), MASK_VALUE, np.float32), k=1 + n_kv - n_q)
             scores = tz.add(scores, Tensor(mask))
-        attn = tz.softmax(scores, axis=2)
+        attn = tz.softmax(scores, axis=-1)
         out = tz.matmul(attn, vh)
         if n_q > 1:
-            out = tz.permute(out, (1, 0, 2))
-        out = tz.reshape(out, (n_q, d))
+            b = len(lead)
+            out = tz.permute(out, tuple(range(b)) + (b + 1, b, b + 2))
+        out = tz.reshape(out, lead + (n_q, d))
         out = tz.add(tz.matmul(out, self._w(f"{prefix}.wo")), self._p(f"{prefix}.bo"))
         return out, attn
 
@@ -392,13 +399,15 @@ class HazardModel:
     # -- public forward ------------------------------------------------------
 
     def encode_image(self, image) -> tuple[Tensor, AttentionMap]:
-        """Per-patch features and the aggregated last-layer attention map."""
+        """Per-patch features and the aggregated last-layer attention map of
+        a C x S x S image, or of each image of a B x C x S x S stack (then
+        B x n x d features and a stack of B maps)."""
         cfg = self.config
         image = image if isinstance(image, Tensor) else Tensor(image)
-        if image.shape != (cfg.channels, cfg.image_size, cfg.image_size):
+        if image.data.ndim not in (3, 4) or image.shape[-3:] != (cfg.channels, cfg.image_size, cfg.image_size):
             raise tz.ShapeError(
                 f"image shape {image.shape} != configured "
-                f"({cfg.channels}, {cfg.image_size}, {cfg.image_size})"
+                f"({cfg.channels}, {cfg.image_size}, {cfg.image_size}), with or without a batch axis"
             )
         patches = patchify(image, cfg.patch_size)
         x = tz.add(tz.matmul(patches, self._w("vis.patch_embed.w")), self._p("vis.patch_embed.b"))
@@ -423,11 +432,12 @@ class HazardModel:
         return x
 
     def project(self, features: Tensor, which: str) -> Tensor:
-        """Map encoder features (n x d) into the shared latent space (n x k)."""
+        """Map encoder features (... x n x d) into the shared latent space
+        (... x n x k)."""
         if which not in ("image", "text"):
             raise ValueError(f"unknown projector {which!r}")
         name = "proj.img" if which == "image" else "proj.txt"
-        if features.shape[1] != self.config.embed_dim:
+        if features.shape[-1] != self.config.embed_dim:
             raise tz.ShapeError(f"expected width {self.config.embed_dim}, got {features.shape}")
         if self.config.projector == "linear":
             return tz.add(tz.matmul(features, self._w(f"{name}.w")), self._p(f"{name}.b"))
@@ -435,34 +445,40 @@ class HazardModel:
         return tz.add(tz.matmul(mid, self._w(f"{name}.w2")), self._p(f"{name}.b2"))
 
     def fuse(self, e_img: Tensor, e_text: Tensor) -> Tensor:
-        """Sequence concatenation in latent space: image rows then text rows."""
+        """Sequence concatenation in latent space: image rows then text rows
+        (each scene's, when both carry the same leading batch axis)."""
         k = self.config.latent_dim
-        if e_img.shape[1] != k or e_text.shape[1] != k:
+        if e_img.shape[-1] != k or e_text.shape[-1] != k:
             raise tz.ShapeError(
-                f"latent widths {e_img.shape[1]}/{e_text.shape[1]} != {k}"
+                f"latent widths {e_img.shape[-1]}/{e_text.shape[-1]} != {k}"
             )
-        return tz.concat([e_img, e_text], axis=0)
+        if e_img.shape[:-2] != e_text.shape[:-2]:
+            raise tz.ShapeError(f"batch axes differ: {e_img.shape} and {e_text.shape}")
+        return tz.concat([e_img, e_text], axis=-2)
 
-    def _decoder_states(self, fused: Tensor, input_ids: list[int], cache: DecodeCache | None = None) -> Tensor:
-        """Logits for input_ids. Without a cache they are the whole sequence
-        and attend to fused (teacher forcing); with one they are the next
-        positions after the cached ones, fused's keys and values come from
-        the cache, and the cache grows by them."""
+    def _decoder_states(self, fused: Tensor, input_ids, cache: DecodeCache | None = None) -> Tensor:
+        """Logits for input_ids (... x T ids, one row of ids per scene of
+        fused). Without a cache they are the whole sequence and attend to
+        fused (teacher forcing); with one they are the next positions after
+        the cached ones, fused's keys and values come from the cache, and
+        the cache grows by them."""
         cfg = self.config
         start = 0 if cache is None else cache.length
         x = tz.take_rows(self._p("dec.embed"), input_ids)
-        x = tz.add(x, tz.slice_axis(self._p("dec.pos"), 0, start, start + len(input_ids)))
+        steps = x.data.shape[-2]
+        x = tz.add(x, tz.slice_axis(self._p("dec.pos"), 0, start, start + steps))
         for i in range(cfg.decoder_layers):
             prefix = f"dec.{i}"
-            own = None if cache is None else cache.own[i]
-            memory = fused if cache is None else cache.cross[i]
-            sa, _ = self._attention(self._ln(x, f"{prefix}.ln1"), None, f"{prefix}.self", True, own)
+            h = self._ln(x, f"{prefix}.ln1")
+            own = None if cache is None else cache.extend(i, *self._keys_values(h, f"{prefix}.self"))
+            sa, _ = self._attention(h, own, f"{prefix}.self", True)
             x = tz.add(x, sa)
+            memory = fused if cache is None else cache.cross[i]
             ca, _ = self._attention(self._ln(x, f"{prefix}.ln2"), memory, f"{prefix}.cross", False)
             x = tz.add(x, ca)
             x = tz.add(x, self._ffn(self._ln(x, f"{prefix}.ln3"), f"{prefix}.ffn"))
         if cache is not None:
-            cache.length += len(input_ids)
+            cache.length += steps
         x = self._ln(x, "dec.ln_f")
         return tz.add(tz.matmul(x, self._w("dec.out.w")), self._p("dec.out.b"))
 
@@ -486,29 +502,47 @@ class HazardModel:
         top_p: float = 0.9,
         temperature: float = 0.95,
         seed: int = 0,
-    ) -> list[int]:
+    ):
         """Nucleus sampling; stops at the end token or max_len tokens. Each
         step runs the decoder on the newest token only, over the keys and
-        values cached by the steps before it."""
+        values cached by the steps before it.
+
+        A rank-2 ``fused`` (n x k) gives one list of ids. A B x n x k stack
+        decodes its B scenes together, one decoder step for all of them,
+        and gives B lists: scene i draws from its own rng seeded ``seed``,
+        so its ids are those of a call on ``fused[i]`` alone. A scene that
+        emits the end token leaves the batch and its cache rows."""
         check_sampling(top_p, temperature)
         if max_len > self.config.max_caption_len:
             raise ValueError(f"max_len {max_len} exceeds max caption length")
-        rng = np.random.default_rng(seed)
+        lead = fused.shape[:-2]
+        scenes = lead[0] if lead else 1
+        rngs = [np.random.default_rng(seed) for _ in range(scenes)]
+        out: list[list[int]] = [[] for _ in range(scenes)]
         layers = range(self.config.decoder_layers)
-        cache = DecodeCache(
-            cross=[self._keys_values(fused, f"dec.{i}.cross") for i in layers],
-            own=[KVCache() for _ in layers],
-        )
-        token = START_ID
-        out: list[int] = []
+        cache = DecodeCache([self._keys_values(fused, f"dec.{i}.cross") for i in layers])
+        # one newest token per live scene: ... x 1 ids
+        step_shape = (-1, 1) if lead else (-1,)
+        live = np.arange(scenes)
+        tokens = np.full(scenes, START_ID).reshape(step_shape)
         for _ in range(max_len):
-            logits = self._decoder_states(fused, [token], cache).data[-1].astype(np.float64)
-            keep, probs = nucleus(logits, top_p, temperature)
-            token = int(rng.choice(keep, p=probs))
-            if token == END_ID:
+            logits = self._decoder_states(fused, tokens, cache).data[..., -1, :].astype(np.float64)
+            drawn = []
+            for scene, row in zip(live, logits.reshape(len(live), -1)):
+                keep, probs = nucleus(row, top_p, temperature)
+                # top_p 0 keeps one token at every step, so the draw is that
+                # token and the scene's rng, which nothing else reads, is skipped
+                drawn.append(keep[0] if top_p == 0.0 else rngs[scene].choice(keep, p=probs))
+            drawn = np.array(drawn)
+            going = drawn != END_ID
+            for scene, token in zip(live[going], drawn[going]):
+                out[scene].append(int(token))
+            live, tokens = live[going], drawn[going].reshape(step_shape)
+            if not live.size:
                 break
-            out.append(token)
-        return out
+            if not going.all():
+                cache.keep(going)
+        return out if lead else out[0]
 
 
 def check_sampling(top_p: float, temperature: float) -> None:

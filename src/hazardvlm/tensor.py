@@ -213,19 +213,27 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 operands, or of two rank-3 stacks of
-    matrices with equal leading dims (one product per leading index)."""
+    """Matrix product of two rank-2 operands, of two stacks of matrices
+    (rank 3 or 4) with equal leading dims, or of a rank-3 stack and one
+    rank-2 matrix shared by every entry. Each leading index is its own
+    product, so a stack gives the bits of one product per entry."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != b.data.ndim or a.data.ndim not in (2, 3):
-        raise ShapeError(f"matmul expects two rank-2 or two rank-3 operands, got {a.shape} and {b.shape}")
-    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul dims differ: {a.shape} x {b.shape}")
-    out = a.data @ b.data
+    x, y = a.data, b.data
+    shared = x.ndim == 3 and y.ndim == 2
+    if not shared and (x.ndim != y.ndim or not 2 <= x.ndim <= 4):
+        raise ShapeError(
+            f"matmul expects equal-rank operands of rank 2-4 or a rank-3 stack times a matrix, "
+            f"got {x.shape} and {y.shape}"
+        )
+    if x.shape[-1] != y.shape[-2] or not shared and x.shape[:-2] != y.shape[:-2]:
+        raise ShapeError(f"matmul dims differ: {x.shape} x {y.shape}")
 
     def bwd(g):
-        return g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g
+        gb = a.data.swapaxes(-1, -2) @ g
+        # a shared matrix's gradient sums over the stack
+        return g @ b.data.swapaxes(-1, -2), gb.sum(axis=0) if shared else gb
 
-    return _record("matmul", (a, b), out, bwd)
+    return _record("matmul", (a, b), x @ y, bwd)
 
 
 def add(a: Tensor, b) -> Tensor:
@@ -414,12 +422,13 @@ def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     return _record("permute", (x,), np.transpose(x.data, axes).copy(), bwd)
 
 
-def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
-    """Row gather (embedding lookup). Backward scatter-adds into the table."""
+def take_rows(x: Tensor, indices) -> Tensor:
+    """Row gather (embedding lookup): the output has the index array's shape
+    followed by a row's. Backward scatter-adds into the table."""
     x = _as_tensor(x)
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError("take_rows expects a flat index sequence")
+    if idx.ndim < 1:
+        raise ShapeError("take_rows expects a sequence of indices")
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise IndexError(f"row index out of range [0, {x.shape[0]})")
 

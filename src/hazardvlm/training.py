@@ -280,16 +280,36 @@ class Predictor:
     def __call__(
         self, image, top_p: float = 0.0, temperature: float = 1.0, seed: int = 0
     ) -> tuple[PixelPoint, list[int]]:
-        """Point and caption ids for one image; top_p 0 decodes greedily."""
+        """Point and caption ids for one C x S x S image; top_p 0 decodes
+        greedily."""
+        return self._infer(image, top_p, temperature, seed)
+
+    def batch(
+        self, images, top_p: float = 0.0, temperature: float = 1.0, seed: int = 0
+    ) -> list[tuple[PixelPoint, list[int]]]:
+        """Point and caption ids for each image of a B x C x S x S stack, run
+        as one batch; entry i is what the single-image call gives images[i]."""
+        if len(images.shape) != 4:
+            raise tz.ShapeError(f"expected a B x C x S x S stack of images, got shape {images.shape}")
+        return list(zip(*self._infer(images, top_p, temperature, seed)))
+
+    def _infer(self, images, top_p, temperature, seed):
+        """(point, ids) of one image, or (points, ids lists) of a stack."""
         model = self.model
         cfg = model.config
-        feats, amap = model.encode_image(image)
-        point = grid_to_pixel(hard_argmax(amap), cfg.patch_size, cfg.image_size)
-        fused = model.fuse(model.project(feats, "image"), self.prompt_latent)
+        images = images if isinstance(images, Tensor) else Tensor(images)
+        feats, amap = model.encode_image(images)
+        # every scene shares the prompt; inference only, so no gradient to it
+        lead = images.shape[:-3]
+        prompt = Tensor(np.broadcast_to(self.prompt_latent.data, (*lead, *self.prompt_latent.shape)))
+        fused = model.fuse(model.project(feats, "image"), prompt)
         ids = model.generate(
             fused, max_len=cfg.max_caption_len, top_p=top_p, temperature=temperature, seed=seed
         )
-        return point, ids
+        cells = hard_argmax(amap)
+        if lead:
+            return [grid_to_pixel(c, cfg.patch_size, cfg.image_size) for c in cells], ids
+        return grid_to_pixel(cells, cfg.patch_size, cfg.image_size), ids
 
 
 def evaluate(
@@ -299,20 +319,20 @@ def evaluate(
     max_samples: int | None = None,
 ) -> MetricsReport:
     """Greedy decoding plus hard-argmax localization over a sample set,
-    or over its first ``max_samples`` samples (0 or None: all of them)."""
+    or over its first ``max_samples`` samples (0 or None: all of them).
+    The evaluated samples run as one batch (``Predictor.batch``)."""
     if not samples:
         raise ValueError("empty evaluation set")
     if max_samples is not None and max_samples < 0:
         raise ValueError(f"max_samples must be >= 0 (0 or None: no cap), got {max_samples}")
     predict = Predictor(model, tokenize(HAZARD_PROMPT, vocab))
     limit = len(samples) if not max_samples else min(len(samples), max_samples)
-    refs, cands, truths, preds = [], [], [], []
-    for sample in samples[:limit]:
-        point, ids = predict(Tensor(sample.image))
-        refs.append(normalize(sample.caption))
-        cands.append(detokenize(ids, vocab).split())
-        truths.append(sample.hazard)
-        preds.append(point)
+    batch = list(samples[:limit])
+    results = predict.batch(Tensor(np.stack([s.image for s in batch])))
+    refs = [normalize(s.caption) for s in batch]
+    cands = [detokenize(ids, vocab).split() for _, ids in results]
+    truths = [s.hazard for s in batch]
+    preds = [point for point, _ in results]
     return corpus_report(refs, truths, cands, preds)
 
 

@@ -32,6 +32,11 @@ def op_grad_cases(rng):
     w32 = Tensor(rng.standard_normal((3, 2)))
     w64 = Tensor(rng.standard_normal((6, 4)))
     ones34 = Tensor(np.ones((3, 4)))
+    # a stack times one shared matrix, and a rank-4 stack (batch x heads)
+    shared42 = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    a2223 = Tensor(rng.standard_normal((2, 2, 2, 3)), requires_grad=True)
+    b2232 = Tensor(rng.standard_normal((2, 2, 3, 2)))
+    w2222 = Tensor(rng.standard_normal((2, 2, 2, 2)))
     return [
         ("matmul", a34, lambda t: T.tsum(T.matmul(t, b42))),
         ("add", a34, lambda t: T.tsum(T.add(t, other))),
@@ -52,6 +57,9 @@ def op_grad_cases(rng):
         ("reshape", a34, lambda t: T.tsum(T.mul(T.reshape(t, (2, 6)), w26))),
         ("matmul_batched_left", a234, lambda t: T.tsum(T.mul(T.matmul(t, b242), w232))),
         ("matmul_batched_right", b242, lambda t: T.tsum(T.mul(T.matmul(a234, t), w232))),
+        ("matmul_shared_left", a234, lambda t: T.tsum(T.mul(T.matmul(t, shared42), w232))),
+        ("matmul_shared_right", shared42, lambda t: T.tsum(T.mul(T.matmul(a234, t), w232))),
+        ("matmul_rank4", a2223, lambda t: T.tsum(T.mul(T.matmul(t, b2232), w2222))),
         ("permute", a34, lambda t: T.tsum(T.mul(T.permute(T.reshape(t, (3, 2, 2)), (2, 0, 1)), w232))),
         ("take_rows", a34, lambda t: T.tsum(T.mul(T.take_rows(t, [2, 0, 2]), w34))),
         ("slice_axis", a34, lambda t: T.tsum(T.mul(T.slice_axis(t, 1, 1, 3), w32))),

@@ -320,6 +320,35 @@ def test_unreadable_dataset_is_data_error(tmp_path, conf, trained, capsys, comma
         assert err.startswith("line 1: [json] ")
 
 
+@pytest.mark.parametrize("command", ["eval", "predict", "train"])
+@pytest.mark.parametrize("kind", ["directory", "not_utf8", "duplicate_token"])
+def test_bad_vocabulary_is_data_error(tmp_path, conf, trained, capsys, command, kind):
+    # eval and predict read --vocab; a lora train reads the base checkpoint's
+    # vocabulary file next to it
+    data, ckpt = trained
+    vocab = tmp_path / "bad.vocab" if command != "train" else tmp_path / "model.ckpt.vocab"
+    good = (tmp_path / "model.ckpt.vocab").read_text(encoding="utf-8")
+    vocab.unlink(missing_ok=True)
+    if kind == "directory":
+        vocab.mkdir()
+    elif kind == "not_utf8":
+        vocab.write_bytes(good.encode("utf-8") + b"caf\xe9\n")
+    else:
+        vocab.write_text(good + good.splitlines()[-1] + "\n", encoding="utf-8")
+    if command == "eval":
+        argv = ["eval", "--checkpoint", str(ckpt), "--dataset", str(data), "--vocab", str(vocab)]
+    elif command == "predict":
+        image = tmp_path / "img.npy"
+        np.save(image, load_dataset(data)[0][0].image)
+        argv = ["predict", "--checkpoint", str(ckpt), "--image", str(image), "--vocab", str(vocab)]
+    else:
+        argv = ["train", "--dataset", str(data), "--out", str(tmp_path / "lora.ckpt"),
+                "--mode", "lora", "--init-from", str(ckpt)]
+    rc = main([*argv, "--config", conf])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error: cannot read vocabulary ")
+
+
 # ---------------------------------------------------------------------------
 # probe
 # ---------------------------------------------------------------------------

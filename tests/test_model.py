@@ -6,6 +6,7 @@ import pytest
 
 from hazardvlm import tensor as tz
 from hazardvlm.data import SynthConfig, build_vocab, synth_generate, tokenize
+from hazardvlm.localization import hard_argmax
 from hazardvlm.model import (
     MASK_VALUE,
     HazardModel,
@@ -587,3 +588,32 @@ def test_merged_view_is_bit_identical_and_leaves_the_model_alone(default_model):
     np.testing.assert_array_equal(view_amap.grid.data, amap.grid.data)
     assert not view.params.adapters
     assert model.lora_enabled and model.params.adapters
+
+
+# ---------------------------------------------------------------------------
+# batched inference
+# ---------------------------------------------------------------------------
+
+def _images(cfg, scenes):
+    return Tensor(np.stack([rand_image(seed, cfg).data for seed in range(scenes)]))
+
+
+def test_batched_encode_image_matches_single_calls(default_model):
+    # features, maps, points and fused latents of a stack are bitwise
+    # those of one call per scene
+    model = default_model
+    cfg = model.config
+    images = _images(cfg, 5)
+    text = model.project(model.encode_text([1, 3, 2]), "text")
+    feats, amap = model.encode_image(images)
+    fused = model.fuse(model.project(feats, "image"), Tensor(np.broadcast_to(text.data, (5, *text.shape))))
+    assert feats.shape == (5, cfg.n_patches, cfg.embed_dim)
+    assert amap.grid.shape == (5, cfg.grid_side, cfg.grid_side)
+    cells = hard_argmax(amap)
+    for i in range(5):
+        one_feats, one_amap = model.encode_image(Tensor(images.data[i]))
+        np.testing.assert_array_equal(feats.data[i], one_feats.data)
+        np.testing.assert_array_equal(amap.grid.data[i], one_amap.grid.data)
+        assert cells[i] == hard_argmax(one_amap)
+        one_fused = model.fuse(model.project(one_feats, "image"), text)
+        np.testing.assert_array_equal(fused.data[i], one_fused.data)

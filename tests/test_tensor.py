@@ -39,8 +39,16 @@ def test_matmul_hand_expansion():
 
 
 def test_matmul_shape_mismatch():
-    # inner dims, leading dims of a rank-3 pair, and mixed ranks
-    for a_shape, b_shape in [((2, 3), (2, 3)), ((2, 3, 4), (3, 4, 2)), ((3, 4), (2, 4, 2))]:
+    # inner dims, leading dims of a rank-3 pair, mixed ranks other than a
+    # stack times one matrix, and inner dims of a stack times one matrix
+    for a_shape, b_shape in [
+        ((2, 3), (2, 3)),
+        ((2, 3, 4), (3, 4, 2)),
+        ((3, 4), (2, 4, 2)),
+        ((2, 2, 3, 4), (4, 2)),
+        ((2, 2, 3, 4), (2, 3, 4, 2)),
+        ((2, 3, 4), (5, 2)),
+    ]:
         with pytest.raises(T.ShapeError):
             T.matmul(Tensor(np.zeros(a_shape)), Tensor(np.zeros(b_shape)))
 
@@ -52,6 +60,31 @@ def test_matmul_batched_is_one_product_per_leading_index():
     out = T.matmul(Tensor(a), Tensor(b)).data
     for i in range(3):
         np.testing.assert_array_equal(out[i], T.matmul(Tensor(a[i]), Tensor(b[i])).data)
+
+
+@pytest.mark.parametrize("scenes, rows, width, out", [(16, 1, 32, 32), (16, 16, 16, 32), (5, 21, 16, 32), (3, 1, 128, 32)])
+def test_matmul_shared_matrix_is_one_product_per_scene(scenes, rows, width, out):
+    # the matrix is broadcast over the stack, not flattened into one
+    # (scenes * rows) x width product, so each scene's rows keep their bits
+    rng = np.random.default_rng(scenes * rows)
+    a = rng.standard_normal((scenes, rows, width)).astype(np.float32)
+    w = Tensor(rng.standard_normal((width, out)).astype(np.float32))
+    stacked = T.matmul(Tensor(a), w).data
+    for i in range(scenes):
+        np.testing.assert_array_equal(stacked[i], T.matmul(Tensor(a[i]), w).data)
+
+
+def test_matmul_shared_matrix_gradient_sums_over_the_stack():
+    rng = np.random.default_rng(4)
+    a = Tensor(rng.standard_normal((3, 2, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+    g = rng.standard_normal((3, 2, 5))
+    with Tape() as tape:
+        loss = T.tsum(T.mul(T.matmul(a, w), Tensor(g)))
+    tape.backward(loss)
+    assert w.grad.shape == (4, 5)
+    np.testing.assert_allclose(w.grad, sum(a.data[i].T @ g[i] for i in range(3)), rtol=1e-12)
+    np.testing.assert_allclose(a.grad, g @ w.data.T, rtol=1e-12)
 
 
 def test_softmax_constant_vector():

@@ -15,6 +15,7 @@ from hazardvlm.training import (
     BadVersion,
     Checkpoint,
     LOG_HEADER,
+    Predictor,
     TrainConfig,
     TrainingDiverged,
     Truncated,
@@ -203,36 +204,39 @@ def test_empty_dataset_rejected():
 # ---------------------------------------------------------------------------
 
 class _EchoModel:
-    """Stub implementing the evaluate() surface: attention collapsed onto
-    the true hazard patch, generation echoing the true caption."""
+    """Stub implementing the evaluate() surface, which runs the samples as
+    one batch: attention collapsed onto each true hazard patch, generation
+    echoing each true caption."""
 
     def __init__(self, config, vocab, samples):
         self.config = config
         self._vocab = vocab
         self._samples = samples
-        self._cursor = -1
+        self._batch = []
 
     def merged(self):
         return self
 
-    def encode_image(self, image):
+    def encode_image(self, images):
         from hazardvlm.localization import AttentionMap
         from hazardvlm.tensor import Tensor
 
-        self._cursor += 1
-        sample = self._samples[self._cursor]
+        self._batch = self._samples[: images.shape[0]]
         side = self.config.grid_side
-        grid = np.zeros((side, side), dtype=np.float32)
-        gx = int(sample.hazard.x) // self.config.patch_size
-        gy = int(sample.hazard.y) // self.config.patch_size
-        grid[gy, gx] = 1.0
-        return None, AttentionMap(Tensor(grid))
+        grids = np.zeros((len(self._batch), side, side), dtype=np.float32)
+        for grid, sample in zip(grids, self._batch):
+            gx = int(sample.hazard.x) // self.config.patch_size
+            gy = int(sample.hazard.y) // self.config.patch_size
+            grid[gy, gx] = 1.0
+        return None, AttentionMap(Tensor(grids))
 
     def encode_text(self, tokens):
-        return None
+        from hazardvlm.tensor import Tensor
+
+        return Tensor(np.zeros((len(tokens), 1), dtype=np.float32))
 
     def project(self, features, which):
-        return None
+        return features
 
     def fuse(self, e_img, e_text):
         return None
@@ -240,7 +244,7 @@ class _EchoModel:
     def generate(self, fused, max_len, top_p, temperature, seed):
         from hazardvlm.data import tokenize
 
-        return tokenize(self._samples[self._cursor].caption, self._vocab)[1:-1]
+        return [tokenize(s.caption, self._vocab)[1:-1] for s in self._batch]
 
 
 def test_evaluate_echo_model_is_perfect():
@@ -305,6 +309,78 @@ def test_evaluate_merges_each_adapter_and_encodes_the_prompt_once(monkeypatch):
     assert evaluate(model, samples, vocab) == expected
     assert merges == Counter(list(model.params.adapters))
     assert prompt_encodes == [prompt_ids]
+
+
+def _ragged_model(vocab):
+    """A LoRA model whose captions end at different steps: every base tensor
+    redrawn wide enough that each scene's logits differ, and the end token's
+    bias raised into the range of the winning logits."""
+    from hazardvlm.model import END_ID
+
+    model = _lora_model(vocab)
+    rng = np.random.default_rng(11)
+    for name, t in model.params.tensors.items():
+        if not name.startswith("lora."):
+            t.data = rng.normal(0.0, 0.3, t.shape).astype(np.float32)
+    model.params.tensors["dec.out.b"].data[END_ID] += 1.63
+    return model
+
+
+def _scene_batch(model, samples, vocab):
+    """Fused latents of each sample, stacked, from per-scene calls."""
+    text = model.project(model.encode_text(tokenize(HAZARD_PROMPT, vocab)), "text")
+    fused = []
+    for s in samples:
+        feats, _ = model.encode_image(Tensor(s.image))
+        fused.append(model.fuse(model.project(feats, "image"), text).data)
+    return Tensor(np.stack(fused))
+
+
+@pytest.mark.parametrize(
+    "top_p, temperature, seed",
+    [(0.0, 1.0, 0), (0.9, 0.95, 0), (0.9, 0.95, 7)],
+    ids=["greedy", "nucleus_seed0", "nucleus_seed7"],
+)
+def test_batched_generate_matches_single_calls(monkeypatch, top_p, temperature, seed):
+    samples, vocab = make_dataset(8)
+    model = _ragged_model(vocab)
+    max_len = model.config.max_caption_len
+    fused = _scene_batch(model, samples, vocab)
+    steps = []
+    decoder_states = model._decoder_states
+
+    def recording_decoder_states(*args):
+        logits = decoder_states(*args)
+        steps.append(logits.data[..., -1, :].reshape(-1, logits.shape[-1]).copy())
+        return logits
+
+    monkeypatch.setattr(model, "_decoder_states", recording_decoder_states)
+    singles, single_steps = [], []
+    for scene in fused.data:
+        steps.clear()
+        singles.append(model.generate(Tensor(scene), max_len, top_p, temperature, seed))
+        single_steps.append([rows[0] for rows in steps])
+    steps.clear()
+    batched = model.generate(fused, max_len, top_p, temperature, seed)
+
+    assert batched == singles
+    # scenes leave the batch at different steps
+    assert len({len(ids) for ids in singles}) > 1
+    # step t runs the scenes still decoding, in batch order, with the
+    # logits each got alone
+    assert len(steps) == max(len(s) for s in single_steps)
+    for t, rows in enumerate(steps):
+        live = [i for i, s in enumerate(single_steps) if len(s) > t]
+        np.testing.assert_array_equal(rows, np.stack([single_steps[i][t] for i in live]))
+
+
+@pytest.mark.parametrize("top_p, seed", [(0.0, 0), (0.9, 7)])
+def test_predictor_batch_matches_single_image_calls(top_p, seed):
+    samples, vocab = make_dataset(8)
+    predict = Predictor(_ragged_model(vocab), tokenize(HAZARD_PROMPT, vocab))
+    images = np.stack([s.image for s in samples])
+    singles = [predict(Tensor(image), top_p=top_p, temperature=0.95, seed=seed) for image in images]
+    assert predict.batch(Tensor(images), top_p=top_p, temperature=0.95, seed=seed) == singles
 
 
 def test_evaluate_leaves_lora_training_intact():
