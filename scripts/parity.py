@@ -9,6 +9,8 @@ sources of the checkout this script sits in:
 
 - ``synth`` of 40 scenes;
 - a pretrain, then a LoRA ``train`` over it;
+- a second pretrain with ``--grad-accum-steps 3``: 32 training scenes
+  make each epoch end in a partial group of 2 micro-batches;
 - ``eval`` of both checkpoints, in full and with ``--max-samples 7``;
 - ``predict`` of 4 images with both checkpoints, each ``--greedy``, with
   the default nucleus sampling and with ``--seed 7``.
@@ -37,6 +39,7 @@ from hazardvlm.cli import main as cli_main  # noqa: E402
 from hazardvlm.data import load_dataset  # noqa: E402
 
 PRETRAIN = ["--epochs", "3", "--base-lr", "3e-3", "--grad-accum-steps", "1"]
+PRETRAIN_ACCUM3 = ["--epochs", "3", "--base-lr", "3e-3", "--grad-accum-steps", "3"]
 PREDICT_MODES = {"greedy": ["--greedy"], "nucleus": [], "seed7": ["--seed", "7"]}
 N_IMAGES = 4
 
@@ -67,6 +70,8 @@ def main() -> int:
 
     run("01-synth", ["synth", "--out", "scenes.jsonl", "--n", "40", "--force"])
     run("02-pretrain", ["train", "--dataset", "scenes.jsonl", "--out", "base.ckpt", *PRETRAIN])
+    run("02-pretrain-accum3", ["train", "--dataset", "scenes.jsonl", "--out", "base-accum3.ckpt",
+                               *PRETRAIN_ACCUM3])
     run("03-lora", ["train", "--dataset", "scenes.jsonl", "--out", "lora.ckpt",
                     "--mode", "lora", "--init-from", "base.ckpt"])
     for ckpt in ("base", "lora"):

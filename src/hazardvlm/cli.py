@@ -163,13 +163,24 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _load_samples(path: str, strict: bool = True):
+def _check_image_shape(shape: tuple[int, ...], cfg: RunConfig, what: str) -> None:
+    expected = (cfg.channels, cfg.image_size, cfg.image_size)
+    if shape != expected:
+        raise DataError(f"{what} shape {shape} does not match configured {expected}")
+
+
+def _load_samples(path: str, cfg: RunConfig):
+    """The dataset's samples. DataError when a record is invalid, there is
+    no sample, or an image does not have the configured geometry."""
     samples, errors = load_dataset(path)
     if errors:
         for err in errors:
             print(str(err), file=sys.stderr)
-        if strict:
-            raise DataError(f"{len(errors)} invalid record(s) in {path}")
+        raise DataError(f"{len(errors)} invalid record(s) in {path}")
+    if not samples:
+        raise DataError(f"no samples in {path}")
+    for i, sample in enumerate(samples):
+        _check_image_shape(sample.image.shape, cfg, f"{path}, sample {i + 1}: image")
     return samples
 
 
@@ -194,9 +205,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = build_run_config(args)
-    samples = _load_samples(args.dataset)
-    if not samples:
-        raise DataError(f"no samples in {args.dataset}")
+    samples = _load_samples(args.dataset, cfg)
     d_train, d_val = split(samples, cfg.val_fraction, seed=cfg.seed)
 
     if cfg.mode == "lora":
@@ -256,9 +265,7 @@ def cmd_eval(args) -> int:
     if cfg.max_samples < 0:
         raise UsageError(f"max_samples must be >= 0 (0: no cap), got {cfg.max_samples}")
     model, vocab = _restore_model(cfg, args.checkpoint, args.vocab)
-    samples = _load_samples(args.dataset)
-    if not samples:
-        raise DataError(f"no samples in {args.dataset}")
+    samples = _load_samples(args.dataset, cfg)
     report = evaluate(model, samples, vocab, max_samples=cfg.max_samples or None)
     print(report.as_text(), end="")
     if args.out:
@@ -280,9 +287,7 @@ def cmd_predict(args) -> int:
         image = load_image(args.image)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    expected = (cfg.channels, cfg.image_size, cfg.image_size)
-    if image.shape != expected:
-        raise DataError(f"image shape {image.shape} does not match configured {expected}")
+    _check_image_shape(image.shape, cfg, "image")
     predict = Predictor(model, tokenize(HAZARD_PROMPT, vocab))
     point, ids = predict(Tensor(image), top_p=top_p, temperature=cfg.temperature, seed=cfg.seed)
     output = f"hazard=({point.x:g}, {point.y:g})\n{detokenize(ids, vocab)}\n"

@@ -1,24 +1,159 @@
 """AdamW with decoupled weight decay, warmup+cosine schedule, gradient
-clipping, and an empirical probe of the min-gradient-norm decay rate."""
+clipping, and an empirical probe of the min-gradient-norm decay rate.
+
+Clipping and AdamW run over all tensors at once: a name-to-array mapping
+is packed into one flat array (``FlatArrays``) and each step is a fixed
+sequence of whole-array numpy ops, each the op a per-tensor loop would
+run, so every element gets the same bits."""
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import DEFAULT_DTYPE, Tensor
 
 
 class DivergenceError(RuntimeError):
     """An optimization run produced a non-finite value."""
 
 
+class _Layout:
+    """Where each of a sequence of named arrays sits in one flat array:
+    back to back, in name order."""
+
+    def __init__(self, shapes: Mapping[str, tuple[int, ...]]):
+        self.shapes = dict(shapes)
+        sizes = [math.prod(shape) for shape in self.shapes.values()]
+        bounds = list(itertools.accumulate(sizes, initial=0))
+        self.size = bounds[-1]
+        self.slices = {name: slice(a, b) for name, a, b in zip(self.shapes, bounds, bounds[1:])}
+        # each run of neighbours of one size, as (span, count, size)
+        self.runs = []
+        start = 0
+        for size, run in itertools.groupby(sizes):
+            count = len(list(run))
+            self.runs.append((slice(start, start + count * size), count, size))
+            start += count * size
+
+
+class FlatArrays(Mapping[str, np.ndarray]):
+    """Named arrays stored back to back, in name order, in one 1-D array
+    ``flat``. Each item is a view into ``flat`` (made on access), so an op
+    over every array at once is one numpy call on ``flat``."""
+
+    def __init__(self, flat: np.ndarray, layout: _Layout):
+        if flat.shape != (layout.size,):
+            raise ValueError(f"flat array of shape {flat.shape} does not hold {layout.size} elements")
+        self.flat = flat
+        self.layout = layout
+
+    @classmethod
+    def zeros(cls, shapes: Mapping[str, tuple[int, ...]], dtype) -> "FlatArrays":
+        layout = _Layout(shapes)
+        return cls(np.zeros(layout.size, dtype), layout)
+
+    @property
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        return self.layout.shapes
+
+    def with_flat(self, flat: np.ndarray) -> "FlatArrays":
+        """The same names and shapes over another flat array."""
+        return FlatArrays(flat, self.layout)
+
+    def rows(self) -> list[np.ndarray]:
+        """``flat`` as 2-D views with one array per row: one view per run
+        of neighbouring arrays of equal size, in name order."""
+        return [self.flat[span].reshape(count, size) for span, count, size in self.layout.runs]
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.flat[self.layout.slices[name]].reshape(self.layout.shapes[name])
+
+    def __contains__(self, name) -> bool:
+        return name in self.layout.slices
+
+    def __iter__(self):
+        return iter(self.layout.shapes)
+
+    def __len__(self) -> int:
+        return len(self.layout.shapes)
+
+
+def _flatten(arrays: Mapping[str, np.ndarray], names: Sequence[str], dtype) -> FlatArrays:
+    """The arrays of ``names``, in that order, as one FlatArrays of
+    ``dtype``: ``arrays`` itself when it already is exactly that, else a
+    packed copy."""
+    if (
+        isinstance(arrays, FlatArrays)
+        and arrays.flat.dtype == dtype
+        and list(arrays.shapes) == list(names)
+    ):
+        return arrays
+    missing = [name for name in names if name not in arrays]
+    if missing:
+        raise ValueError(f"no gradient for '{missing[0]}'")
+    values = [np.asarray(arrays[name]) for name in names]
+    layout = _Layout({name: a.shape for name, a in zip(names, values)})
+    packed = FlatArrays(np.empty(layout.size, dtype), layout)
+    _pack(values, packed.flat)
+    return packed
+
+
+def _pack(arrays: Sequence[np.ndarray], out: np.ndarray) -> None:
+    """Write the arrays' elements back to back into the 1-D ``out``."""
+    if arrays:
+        np.concatenate(arrays, axis=None, out=out)
+
+
+class _AdamWArrays:
+    """The flat arrays of AdamW over one parameter layout: both moments,
+    whose per-name views are what ``AdamWState.m`` and ``.v`` hold, and
+    the array the update runs in, with a view per parameter for writing
+    the new values back."""
+
+    def __init__(self, state: "AdamWState", shapes: dict[str, tuple[int, ...]], dtype):
+        for moments in (state.m, state.v):
+            for name, shape in shapes.items():
+                if name in moments and np.shape(moments[name]) != shape:
+                    raise ValueError(
+                        f"moment shape {np.shape(moments[name])} != param shape {shape} for '{name}'"
+                    )
+        self.dtype = dtype
+        self.m = FlatArrays.zeros(shapes, dtype)
+        self.v = self.m.with_flat(np.zeros_like(self.m.flat))
+        self.m_views = list(self.m.values())
+        self.v_views = list(self.v.values())
+        for moments, views in ((state.m, self.m_views), (state.v, self.v_views)):
+            for name, view in zip(shapes, views):
+                if name in moments:
+                    view[...] = moments[name]
+                moments[name] = view
+        self.out = np.empty_like(self.m.flat)
+        self.out_views = list(self.m.with_flat(self.out).values())
+
+    def serves(self, state: "AdamWState", shapes: dict[str, tuple[int, ...]], dtype) -> bool:
+        """Whether these still are the state's moments for ``shapes``; the
+        views are in layout order, so this also checks the order."""
+        return (
+            self.dtype == dtype
+            and self.m.shapes == shapes
+            and all(map(operator.is_, map(state.m.get, shapes), self.m_views))
+            and all(map(operator.is_, map(state.v.get, shapes), self.v_views))
+        )
+
+
 @dataclass
 class AdamWState:
-    """Per-parameter moment estimates plus shared hyperparameters."""
+    """Per-parameter moment estimates plus shared hyperparameters.
+
+    ``m`` and ``v`` map each parameter name to its moment array. After a
+    step these arrays are views into flat moment arrays that the state
+    keeps; a step that finds an entry replaced copies them all afresh."""
 
     beta1: float = 0.9
     beta2: float = 0.999
@@ -27,6 +162,7 @@ class AdamWState:
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    _arrays: _AdamWArrays | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def adamw_step(
@@ -40,31 +176,54 @@ def adamw_step(
     m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2; both bias-corrected by
     (1 - b^t). The decay term -lr*wd*theta is applied to the parameter
     directly (decoupled), not folded into the gradient.
+
+    The update runs over all parameters at once, on flat arrays in the
+    parameters' common dtype, and then writes each parameter in place;
+    every element gets the bits of updating its tensor alone. A missing or
+    misshapen gradient raises ValueError before anything, the state
+    included, has changed.
     """
     if lr < 0:
         raise ValueError(f"negative learning rate {lr}")
+    data = [p.data for p in params.values()]
+    shapes = dict(zip(params, (d.shape for d in data)))
+    dtype = np.result_type(*data) if data else DEFAULT_DTYPE
+    g = _flatten(grads, list(shapes), dtype)
+    if g.shapes != shapes:
+        name = next(n for n in shapes if g.shapes[n] != shapes[n])
+        raise ValueError(f"gradient shape {g.shapes[name]} != param shape {shapes[name]} for '{name}'")
+    work = state._arrays
+    if work is None or not work.serves(state, shapes, dtype):
+        work = state._arrays = _AdamWArrays(state, shapes, dtype)
     state.t += 1
     t = state.t
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape {g.shape} != param shape {p.data.shape} for '{name}'")
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        m += (1.0 - state.beta1) * (g - m)
-        v += (1.0 - state.beta2) * (g * g - v)
-        m_hat = m / c1
-        v_hat = v / c2
-        # decay displacement is taken from the pre-update parameter, so it is
-        # independent of the gradient magnitude
-        decay = lr * state.weight_decay * p.data
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        p.data -= decay
+    g, m, v, a = g.flat, work.m.flat, work.v.flat, work.out
+    b = np.empty_like(a)  # not kept: memory between steps stays at m, v and a
+    # each line is one op of the per-tensor update, in its order:
+    # m += (1 - b1) * (g - m);  v += (1 - b2) * (g * g - v)
+    np.subtract(g, m, out=a)
+    np.multiply(a, 1.0 - state.beta1, out=a)
+    np.add(m, a, out=m)
+    np.multiply(g, g, out=a)
+    np.subtract(a, v, out=a)
+    np.multiply(a, 1.0 - state.beta2, out=a)
+    np.add(v, a, out=v)
+    # step = lr * (m / c1) / (sqrt(v / c2) + eps)
+    np.divide(m, c1, out=a)
+    np.multiply(a, lr, out=a)
+    np.divide(v, c2, out=b)
+    np.sqrt(b, out=b)
+    np.add(b, state.eps, out=b)
+    np.divide(a, b, out=a)
+    # theta - step - (lr * wd) * theta, the decay taken from the pre-update theta
+    _pack(data, b)
+    np.subtract(b, a, out=a)
+    np.multiply(b, lr * state.weight_decay, out=b)
+    np.subtract(a, b, out=a)
+    for d, new in zip(data, work.out_views):
+        d[...] = new
 
 
 @dataclass
@@ -96,24 +255,33 @@ def lr_at(sched: ScheduleConfig, t: int) -> float:
 
 def clip_grad_norm(
     grads: Mapping[str, np.ndarray], max_norm: float = 1.0
-) -> tuple[dict[str, np.ndarray], float]:
+) -> tuple[Mapping[str, np.ndarray], float]:
     """Scale all grads so their global L2 norm is at most max_norm.
 
     Returns (clipped grads, pre-clip norm). Scaling is uniform across
-    tensors, preserving gradient direction.
+    tensors, preserving gradient direction. The clipped grads are a
+    FlatArrays in the grads' common dtype, scaled in place: a FlatArrays
+    argument is itself scaled and returned, and any other mapping is first
+    packed into a new one, leaving its arrays as they were.
     """
+    if isinstance(grads, FlatArrays):
+        dtype = grads.flat.dtype
+    else:
+        dtype = np.result_type(*map(np.asarray, grads.values())) if grads else DEFAULT_DTYPE
+    flat = _flatten(grads, list(grads), dtype)
+    if not np.isfinite(flat.flat).all():
+        raise DivergenceError("non-finite gradient before clipping")
     total = 0.0
-    for g in grads.values():
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError("non-finite gradient before clipping")
-        total += float(np.sum(g.astype(np.float64) ** 2))
+    # one float64 sum per tensor, added in name order as Python floats:
+    # a sum over the whole flat array would add in another order. A row of
+    # a 2-D array sums in the order of the same values as a 1-D array.
+    for rows in flat.rows():
+        for row_sum in np.square(rows, dtype=np.float64).sum(axis=1).tolist():
+            total += row_sum
     norm = math.sqrt(total)
     if norm > max_norm:
-        factor = max_norm / norm
-        clipped = {k: g * factor for k, g in grads.items()}
-    else:
-        clipped = dict(grads)
-    return clipped, norm
+        np.multiply(flat.flat, max_norm / norm, out=flat.flat)
+    return flat, norm
 
 
 # ---------------------------------------------------------------------------

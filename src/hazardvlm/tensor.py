@@ -3,7 +3,8 @@
 Tensors wrap row-major numpy float arrays (float32 by default). Operations
 record themselves on the active ``Tape`` when any input requires gradients;
 ``Tape.backward`` replays the tape in reverse and accumulates gradients into
-the ``grad`` buffers of every tensor that requires them. GELU is the only
+the ``grad`` buffers of the leaves that require them: the tensors no op on
+that tape produced, such as parameters and inputs. GELU is the only
 activation provided (smooth everywhere, which keeps finite-difference
 checks clean).
 
@@ -169,12 +170,14 @@ def _record(op: str, parents: tuple[Tensor, ...], out_data: np.ndarray, backward
 
 
 def backward(tape: Tape, root: Tensor) -> None:
-    """Accumulate d(root)/d(tensor) into grad buffers along the tape.
+    """Accumulate d(root)/d(leaf) into the ``grad`` buffer of every leaf
+    that requires gradients: a tensor no node on this tape produced
+    (parameters, inputs). Intermediates get no buffer; each one's gradient
+    lives only until its producing node has passed it to the node's parents.
 
     Fan-out adds gradient contributions; repeated backward calls keep
-    accumulating into ``grad`` until ``zero_grad``. By reverse topological
-    order, a tensor's gradient is complete when its producing node is
-    reached, so it is flushed to the buffer exactly once.
+    accumulating into ``grad`` until ``zero_grad``, and a buffer that
+    already exists is added to in place.
     """
     if root.size != 1:
         raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
@@ -183,8 +186,6 @@ def backward(tape: Tape, root: Tensor) -> None:
         g_out = grads.pop(node.output, None)
         if g_out is None:
             continue
-        if node.output.requires_grad:
-            node.output.accumulate_grad(g_out)
         for parent, g in zip(node.parents, node.backward_fn(g_out)):
             if g is None or not parent.requires_grad:
                 continue
@@ -192,7 +193,7 @@ def backward(tape: Tape, root: Tensor) -> None:
                 grads[parent] = grads[parent] + g
             else:
                 grads[parent] = g
-    # anything left was not produced on this tape: leaves, params, constants
+    # what is left was produced by no node on this tape: the leaves
     for t, g in grads.items():
         if t.requires_grad:
             t.accumulate_grad(g)

@@ -22,7 +22,7 @@ from .localization import PixelPoint, grid_to_pixel, hard_argmax, pixel_to_grid,
 from .metrics import MetricsReport, corpus_report
 from .model import HazardModel
 from .objective import LossWeights, coord_loss, total_loss
-from .optim import AdamWState, ScheduleConfig, adamw_step, clip_grad_norm, lr_at
+from .optim import AdamWState, FlatArrays, ScheduleConfig, adamw_step, clip_grad_norm, lr_at
 from .tensor import Tape, Tensor
 
 # The text prompt paired with every image. The annotation task never
@@ -100,23 +100,15 @@ class TrainResult:
     val_reports: list[MetricsReport] = field(default_factory=list)
 
 
-def accumulate_gradients(micro_grads: Sequence[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Elementwise mean over micro-batch gradients, so the result equals
-    the gradient of the concatenated batch for mean-reduced losses."""
-    if not micro_grads:
-        raise ValueError("no micro-batch gradients to accumulate")
-    names = micro_grads[0].keys()
-    out: dict[str, np.ndarray] = {}
-    for name in names:
-        first = micro_grads[0][name]
-        acc = first.copy()
-        for grads in micro_grads[1:]:
-            g = grads[name]
-            if g.shape != first.shape:
-                raise ValueError(f"gradient shape mismatch for '{name}'")
-            acc += g
-        out[name] = acc / len(micro_grads)
-    return out
+def accumulate_gradients(grads: FlatArrays, count: int) -> FlatArrays:
+    """Mean of the ``count`` micro-batch gradients summed in ``grads``, which
+    is then zeroed for the next group. For mean-reduced losses this equals
+    the gradient of the concatenated batch."""
+    if count < 1:
+        raise ValueError(f"no micro-batch gradients to accumulate (count {count})")
+    mean = grads.with_flat(grads.flat / count)
+    grads.flat.fill(0)
+    return mean
 
 
 def sample_losses(
@@ -169,6 +161,9 @@ def train(
     One optimizer step per ``grad_accum_steps`` micro-batches (partial
     groups at epoch end still step); the learning rate at optimizer step
     ``i`` is ``lr_at(schedule, i)``. Validation runs after every epoch.
+    Backward sums each micro-batch into the trainable tensors' ``grad``,
+    views into one flat buffer for the run; on return every ``grad`` is
+    None. A non-finite value inside the loop raises TrainingDiverged.
     """
     if not d_train:
         raise ValueError("empty training set")
@@ -190,6 +185,8 @@ def train(
         beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps, weight_decay=cfg.weight_decay
     )
     trainable = model.trainable_tensors()
+    dtype = np.result_type(*(t.dtype for t in trainable.values()))
+    grads = FlatArrays.zeros({name: t.shape for name, t in trainable.items()}, dtype)
     prompt_ids = tokenize(HAZARD_PROMPT, vocab)
 
     result = TrainResult(model=model)
@@ -199,68 +196,65 @@ def train(
 
     # the log is streamed, so a run that diverges keeps the rows before it
     opened = open(cfg.log_path, "w", encoding="utf-8") if cfg.log_path else contextlib.nullcontext()
-    with opened as log:
-        if log is not None:
-            log.write(LOG_HEADER + "\n")
-        for epoch in range(cfg.epochs):
-            order = np.random.default_rng((cfg.seed, epoch)).permutation(n)
-            micro_grads: list[dict[str, np.ndarray]] = []
-            group_raw: list[tuple[float, float, float]] = []
-            for start in range(0, n, cfg.batch_size):
-                batch = [d_train[i] for i in order[start : start + cfg.batch_size]]
-                with Tape() as tape:
-                    breakdown = _batch_breakdown(model, batch, prompt_ids, vocab, cfg)
-                coord_v, text_v, raw = breakdown.values()
-                if not math.isfinite(raw):
-                    raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {step}")
-                if initial_raw is None:
-                    initial_raw = raw
-                elif raw > cfg.divergence_factor * max(initial_raw, 1e-12):
-                    raise TrainingDiverged(
-                        f"loss {raw:.4g} exceeds {cfg.divergence_factor}x initial {initial_raw:.4g}"
-                    )
-                tape.backward(breakdown.total)
-                micro_grads.append(_take_grads(trainable))
-                group_raw.append((coord_v, text_v, raw))
-
-                last_micro = start + cfg.batch_size >= n
-                if len(micro_grads) == cfg.grad_accum_steps or last_micro:
-                    grads = accumulate_gradients(micro_grads)
-                    grads, pre_norm = clip_grad_norm(grads, cfg.clip_max_norm)
-                    lr = lr_at(sched, step)
-                    adamw_step(trainable, grads, state, lr)
-                    raw_mean = sum(r for _, _, r in group_raw) / len(group_raw)
-                    ema = raw_mean if ema is None else cfg.ema_alpha * raw_mean + (1 - cfg.ema_alpha) * ema
-                    result.logs.append(
-                        StepLog(
-                            step=step,
-                            loss=raw_mean,
-                            loss_smooth=ema,
-                            coord_loss=sum(c for c, _, _ in group_raw) / len(group_raw),
-                            text_loss=sum(t for _, t, _ in group_raw) / len(group_raw),
-                            lr=lr,
-                            grad_norm=pre_norm,
+    try:
+        for name, t in trainable.items():
+            t.grad = grads[name]
+        with opened as log:
+            if log is not None:
+                log.write(LOG_HEADER + "\n")
+            for epoch in range(cfg.epochs):
+                order = np.random.default_rng((cfg.seed, epoch)).permutation(n)
+                group_raw: list[tuple[float, float, float]] = []
+                for start in range(0, n, cfg.batch_size):
+                    batch = [d_train[i] for i in order[start : start + cfg.batch_size]]
+                    with Tape() as tape:
+                        breakdown = _batch_breakdown(model, batch, prompt_ids, vocab, cfg)
+                    coord_v, text_v, raw = breakdown.values()
+                    if not math.isfinite(raw):
+                        raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {step}")
+                    if initial_raw is None:
+                        initial_raw = raw
+                    elif raw > cfg.divergence_factor * max(initial_raw, 1e-12):
+                        raise TrainingDiverged(
+                            f"loss {raw:.4g} exceeds {cfg.divergence_factor}x initial {initial_raw:.4g}"
                         )
-                    )
-                    if log is not None:
-                        log.write(result.logs[-1].as_csv_row() + "\n")
-                        log.flush()
-                    step += 1
-                    micro_grads = []
-                    group_raw = []
-            result.val_reports.append(evaluate(model, d_val, vocab))
+                    tape.backward(breakdown.total)
+                    group_raw.append((coord_v, text_v, raw))
+
+                    last_micro = start + cfg.batch_size >= n
+                    if len(group_raw) == cfg.grad_accum_steps or last_micro:
+                        mean = accumulate_gradients(grads, len(group_raw))
+                        clipped, pre_norm = clip_grad_norm(mean, cfg.clip_max_norm)
+                        lr = lr_at(sched, step)
+                        adamw_step(trainable, clipped, state, lr)
+                        raw_mean = sum(r for _, _, r in group_raw) / len(group_raw)
+                        ema = raw_mean if ema is None else cfg.ema_alpha * raw_mean + (1 - cfg.ema_alpha) * ema
+                        result.logs.append(
+                            StepLog(
+                                step=step,
+                                loss=raw_mean,
+                                loss_smooth=ema,
+                                coord_loss=sum(c for c, _, _ in group_raw) / len(group_raw),
+                                text_loss=sum(t for _, t, _ in group_raw) / len(group_raw),
+                                lr=lr,
+                                grad_norm=pre_norm,
+                            )
+                        )
+                        if log is not None:
+                            log.write(result.logs[-1].as_csv_row() + "\n")
+                            log.flush()
+                        step += 1
+                        group_raw = []
+                result.val_reports.append(evaluate(model, d_val, vocab))
+    except tz.NonFiniteError as exc:
+        raise TrainingDiverged(f"{exc} at optimizer step {step}") from exc
+    finally:
+        for t in trainable.values():
+            t.zero_grad()
 
     if cfg.checkpoint_path:
         save_checkpoint(model, state, cfg.checkpoint_path, step=step, epoch=cfg.epochs, seed=cfg.seed)
     return result
-
-
-def _take_grads(trainable: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    grads = {}
-    for name, t in trainable.items():
-        grads[name] = t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
-        t.zero_grad()
-    return grads
 
 
 class Predictor:

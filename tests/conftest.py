@@ -1,5 +1,9 @@
 """Shared helpers: the differentiable-op battery used by the tensor tests
-and the acceptance suite."""
+and the acceptance suite, and per-tensor reference versions of backward,
+gradient accumulation, clipping and AdamW that the flat, whole-model
+versions in the library must match bit for bit."""
+
+import math
 
 import numpy as np
 
@@ -68,3 +72,78 @@ def op_grad_cases(rng):
         ("layer_norm_gain", gain, lambda t: T.tsum(T.mul(T.layer_norm(a34, t, beta), other))),
         ("layer_norm_bias", beta, lambda t: T.tsum(T.mul(T.layer_norm(a34, gain, t), other))),
     ]
+
+
+# ---------------------------------------------------------------------------
+# per-tensor references
+# ---------------------------------------------------------------------------
+# The training step as it was written before the flat versions: a grad
+# buffer for every tensor the tape touches, micro-batch gradients copied
+# out and summed as a list of dicts, and one loop iteration per tensor in
+# clipping and AdamW.
+
+def reference_backward(tape, root):
+    """Backward that also writes the gradient of every intermediate."""
+    grads = {root: np.ones_like(root.data)}
+    for node in reversed(tape.nodes):
+        g_out = grads.pop(node.output, None)
+        if g_out is None:
+            continue
+        if node.output.requires_grad:
+            node.output.accumulate_grad(g_out)
+        for parent, g in zip(node.parents, node.backward_fn(g_out)):
+            if g is None or not parent.requires_grad:
+                continue
+            grads[parent] = grads[parent] + g if parent in grads else g
+    for t, g in grads.items():
+        if t.requires_grad:
+            t.accumulate_grad(g)
+
+
+def reference_take_grads(trainable):
+    grads = {}
+    for name, t in trainable.items():
+        grads[name] = t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
+        t.zero_grad()
+    return grads
+
+
+def reference_accumulate(micro_grads):
+    out = {}
+    for name in micro_grads[0]:
+        acc = micro_grads[0][name].copy()
+        for grads in micro_grads[1:]:
+            acc += grads[name]
+        out[name] = acc / len(micro_grads)
+    return out
+
+
+def reference_clip(grads, max_norm):
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(g.astype(np.float64) ** 2))
+    norm = math.sqrt(total)
+    if norm > max_norm:
+        factor = max_norm / norm
+        return {k: g * factor for k, g in grads.items()}, norm
+    return dict(grads), norm
+
+
+def reference_adamw(params, grads, state, lr):
+    """AdamW one tensor at a time; ``state`` is an ``AdamWState``."""
+    state.t += 1
+    c1 = 1.0 - state.beta1**state.t
+    c2 = 1.0 - state.beta2**state.t
+    for name, p in params.items():
+        g = grads[name]
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
+        m += (1.0 - state.beta1) * (g - m)
+        v += (1.0 - state.beta2) * (g * g - v)
+        m_hat = m / c1
+        v_hat = v / c2
+        decay = lr * state.weight_decay * p.data
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data -= decay

@@ -234,6 +234,39 @@ def test_predict_rejects_values_outside_unit_range(tmp_path, conf, trained, caps
     assert "outside [0, 1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("images", ["default_geometry", "mixed_sizes"])
+def test_dataset_images_must_have_the_configured_geometry(tmp_path, conf, trained, capsys, command, images):
+    # the configured geometry is 16x16; `synth` without the config draws 32x32
+    data, ckpt = trained
+    big = tmp_path / "big.jsonl"
+    assert main(["synth", "--out", str(big), "--n", "3"]) == EXIT_OK
+    dataset = tmp_path / "scenes.jsonl"
+    if images == "default_geometry":
+        dataset.write_text(big.read_text())
+    else:
+        dataset.write_text(data.read_text() + big.read_text().splitlines()[0] + "\n")
+    if command == "train":
+        argv = ["train", "--out", str(tmp_path / "x.ckpt"), *FAST_TRAIN]
+    else:
+        argv = ["eval", "--checkpoint", str(ckpt)]
+    capsys.readouterr()
+    rc = main([*argv, "--config", conf, "--dataset", str(dataset)])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "(1, 32, 32) does not match configured (1, 16, 16)" in err
+
+
+def test_non_finite_value_in_training_exits_diverged(tmp_path, conf, capsys):
+    data = synth(tmp_path, conf)
+    argv = ["train", "--config", conf, "--dataset", str(data), "--out", str(tmp_path / "x.ckpt")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+        rc = main([*argv, "--base-lr", "1e30", "--grad-accum-steps", "1"])
+    assert rc == EXIT_DIVERGED
+    assert "divergence: non-finite values produced by op '" in capsys.readouterr().err
+
+
 def test_overlong_caption_is_data_error(tmp_path, conf):
     data = synth(tmp_path, conf)
     lines = data.read_text().splitlines()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_adamw, reference_clip
 from hazardvlm import optim
 from hazardvlm.optim import (
     AdamWState,
@@ -87,6 +88,89 @@ def test_moment_invariants():
     assert (state.v["p"] >= 0).all()
     with pytest.raises(ValueError):
         adamw_step({"p": p}, {"p": np.zeros(5, dtype=np.float32)}, state, lr=0.01)
+
+
+@pytest.mark.parametrize("bad", ["missing", "misshapen"])
+def test_adamw_step_checks_every_gradient_before_changing_anything(bad):
+    params = {"a": Tensor(np.ones(3)), "b": Tensor(np.ones((2, 2)))}
+    state = AdamWState()
+    adamw_step(params, {"a": np.full(3, 0.5), "b": np.full((2, 2), -0.5)}, state, lr=0.1)
+    before = (
+        {n: p.data.copy() for n, p in params.items()},
+        {n: m.copy() for n, m in state.m.items()},
+        {n: v.copy() for n, v in state.v.items()},
+    )
+    grads = {"a": np.full(3, 0.5)}
+    if bad == "misshapen":
+        grads["b"] = np.zeros(4)
+    with pytest.raises(ValueError, match="'b'"):
+        adamw_step(params, grads, state, lr=0.1)
+    after = (
+        {n: p.data for n, p in params.items()},
+        dict(state.m),
+        dict(state.v),
+    )
+    assert state.t == 1
+    for was, now in zip(before, after):
+        assert was.keys() == now.keys()
+        for name in was:
+            np.testing.assert_array_equal(was[name], now[name])
+    # a fresh state gains no moments and no step
+    fresh = AdamWState()
+    with pytest.raises(ValueError):
+        adamw_step(params, grads, fresh, lr=0.1)
+    assert fresh.t == 0 and not fresh.m and not fresh.v
+
+
+def _default_model_params():
+    """The default model's trainable tensors: 131 float32 tensors in 53
+    runs of neighbours of equal size."""
+    from hazardvlm.model import HazardModel, ModelConfig
+
+    return HazardModel(ModelConfig(vocab_size=28), seed=0).trainable_tensors()
+
+
+@pytest.mark.parametrize("scale", [1e-4, 0.1])  # below and above the cap
+def test_flat_clip_and_adamw_match_the_per_tensor_versions_bitwise(scale):
+    rng = np.random.default_rng(9)
+    params = _default_model_params()
+    ref_params = {n: Tensor(p.data.copy()) for n, p in params.items()}
+    state, ref_state = AdamWState(), AdamWState()
+    for step in range(3):
+        grads = {n: (scale * rng.standard_normal(p.shape)).astype(np.float32) for n, p in params.items()}
+        clipped, norm = clip_grad_norm(grads, max_norm=1.0)
+        ref_clipped, ref_norm = reference_clip(grads, 1.0)
+        assert norm == ref_norm
+        assert (norm > 1.0) == (scale == 0.1)
+        for name, g in ref_clipped.items():
+            assert clipped[name].tobytes() == g.tobytes(), name
+        adamw_step(params, clipped, state, lr=1e-2)
+        reference_adamw(ref_params, ref_clipped, ref_state, lr=1e-2)
+        assert state.t == ref_state.t == step + 1
+        for name, p in ref_params.items():
+            assert params[name].data.tobytes() == p.data.tobytes(), name
+            assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
+            assert state.v[name].tobytes() == ref_state.v[name].tobytes(), name
+    assert list(state.m) == list(ref_state.m) == list(params)
+
+
+def test_adamw_step_reads_moments_assigned_between_steps():
+    # a state whose moment entries are replaced (as a restore does) steps
+    # from the new values, not from the flat copy the last step kept
+    rng = np.random.default_rng(2)
+    params = {n: Tensor(rng.standard_normal((2, 3))) for n in ("a", "b")}
+    ref_params = {n: Tensor(p.data.copy()) for n, p in params.items()}
+    state, ref_state = AdamWState(), AdamWState()
+    grads = {n: rng.standard_normal((2, 3)) for n in params}
+    adamw_step(params, grads, state, lr=0.1)
+    reference_adamw(ref_params, grads, ref_state, lr=0.1)
+    state.m["b"] = state.m["b"] * 3.0
+    ref_state.m["b"] = ref_state.m["b"] * 3.0
+    adamw_step(params, grads, state, lr=0.1)
+    reference_adamw(ref_params, grads, ref_state, lr=0.1)
+    for name, p in ref_params.items():
+        assert params[name].data.tobytes() == p.data.tobytes(), name
+        assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
 
 
 # ---------------------------------------------------------------------------

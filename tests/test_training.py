@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,14 @@ from hazardvlm.data import SynthConfig, build_vocab, detokenize, normalize, synt
 from hazardvlm.localization import grid_to_pixel, hard_argmax
 from hazardvlm.metrics import corpus_report
 from hazardvlm.model import HazardModel, ModelConfig
-from hazardvlm.optim import AdamWState, ScheduleConfig, lr_at
+from conftest import (
+    reference_accumulate,
+    reference_adamw,
+    reference_backward,
+    reference_clip,
+    reference_take_grads,
+)
+from hazardvlm.optim import AdamWState, FlatArrays, ScheduleConfig, lr_at
 from hazardvlm.training import (
     HAZARD_PROMPT,
     BadMagic,
@@ -19,6 +27,7 @@ from hazardvlm.training import (
     TrainConfig,
     TrainingDiverged,
     Truncated,
+    _batch_breakdown,
     accumulate_gradients,
     apply_checkpoint,
     evaluate,
@@ -72,23 +81,49 @@ def quick_cfg(**overrides):
 # gradient accumulation
 # ---------------------------------------------------------------------------
 
+def _summed(micro_grads):
+    """A gradient buffer holding the sum of the micro-batch gradients,
+    added in the order backward adds them: 0 + g1, then + g2, ..."""
+    buffer = FlatArrays.zeros({name: g.shape for name, g in micro_grads[0].items()}, np.float64)
+    for grads in micro_grads:
+        for name, g in grads.items():
+            view = buffer[name]
+            view += g
+    return buffer
+
+
 def test_accumulate_identical_grads():
-    g = {"w": np.array([1.0, -2.0])}
-    out = accumulate_gradients([{k: v.copy() for k, v in g.items()} for _ in range(8)])
+    g = {"w": np.array([1.0, -2.0]), "b": np.array([[0.25], [3.0]])}
+    buffer = _summed([g] * 8)
+    out = accumulate_gradients(buffer, 8)
+    for name in g:
+        np.testing.assert_allclose(out[name], g[name])
+    # the buffer is zeroed for the next group; the mean is not
+    assert not buffer.flat.any()
     np.testing.assert_allclose(out["w"], g["w"])
 
 
 def test_accumulate_opposite_grads_cancel():
     g = {"w": np.array([0.5, 1.5])}
-    out = accumulate_gradients([g, {"w": -g["w"]}])
+    out = accumulate_gradients(_summed([g, {"w": -g["w"]}]), 2)
     np.testing.assert_allclose(out["w"], np.zeros(2))
 
 
-def test_accumulate_rejects_mismatched_shapes():
+def test_accumulate_matches_the_per_tensor_mean_bitwise():
+    rng = np.random.default_rng(4)
+    for count in (1, 3, 8):
+        micro = [
+            {"w": rng.standard_normal((3, 4)), "b": rng.standard_normal(4)} for _ in range(count)
+        ]
+        out = accumulate_gradients(_summed(micro), count)
+        ref = reference_accumulate([{n: 0.0 + g for n, g in grads.items()} for grads in micro])
+        for name in ref:
+            assert out[name].tobytes() == ref[name].tobytes(), (count, name)
+
+
+def test_accumulate_rejects_an_empty_group():
     with pytest.raises(ValueError):
-        accumulate_gradients([{"w": np.zeros(2)}, {"w": np.zeros(3)}])
-    with pytest.raises(ValueError):
-        accumulate_gradients([])
+        accumulate_gradients(_summed([{"w": np.zeros(2)}]), 0)
 
 
 def test_accumulated_singletons_equal_one_batch():
@@ -110,6 +145,97 @@ def test_accumulated_singletons_equal_one_batch():
 # ---------------------------------------------------------------------------
 # the loop
 # ---------------------------------------------------------------------------
+
+def _per_tensor_train(model, d_train, vocab, cfg):
+    """``train`` as it was before the flat step, minus validation: every
+    intermediate gets a grad buffer, micro-batch gradients are copied out
+    and averaged as a list of dicts, and clipping and AdamW loop over the
+    tensors. Returns the optimizer state, one log tuple per step and the
+    step count."""
+    n = len(d_train)
+    total = cfg.epochs * math.ceil(math.ceil(n / cfg.batch_size) / cfg.grad_accum_steps)
+    sched = ScheduleConfig(
+        base_lr=cfg.base_lr,
+        warmup_start_lr=cfg.warmup_start_lr,
+        warmup_steps=min(int(round(cfg.warmup_frac * total)), total - 1),
+        total_steps=total,
+    )
+    state = AdamWState(beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
+    trainable = model.trainable_tensors()
+    prompt_ids = tokenize(HAZARD_PROMPT, vocab)
+    logs, step = [], 0
+    for epoch in range(cfg.epochs):
+        order = np.random.default_rng((cfg.seed, epoch)).permutation(n)
+        micro, values = [], []
+        for start in range(0, n, cfg.batch_size):
+            batch = [d_train[i] for i in order[start : start + cfg.batch_size]]
+            with Tape() as tape:
+                breakdown = _batch_breakdown(model, batch, prompt_ids, vocab, cfg)
+            reference_backward(tape, breakdown.total)
+            micro.append(reference_take_grads(trainable))
+            values.append(breakdown.values())
+            if len(micro) == cfg.grad_accum_steps or start + cfg.batch_size >= n:
+                grads, norm = reference_clip(reference_accumulate(micro), cfg.clip_max_norm)
+                lr = lr_at(sched, step)
+                reference_adamw(trainable, grads, state, lr)
+                coord, text, raw = (sum(v[i] for v in values) / len(values) for i in range(3))
+                logs.append((step, raw, coord, text, lr, norm))
+                step += 1
+                micro, values = [], []
+    return state, logs, step
+
+
+# 11 scenes: groups of 8 and a partial 3. Each cap lies inside the run's
+# range of gradient norms, so some steps clip and some do not.
+@pytest.mark.parametrize("mode, n, accum, cap", [("pretrain", 8, 1, 1.8), ("lora", 11, 8, 0.13)])
+def test_train_matches_the_per_tensor_step_bitwise(tmp_path, mode, n, accum, cap):
+    samples, vocab = make_dataset(n)
+    models = [_lora_model(vocab) if mode == "lora" else small_model(vocab, seed=2) for _ in range(2)]
+    cfg = quick_cfg(
+        epochs=2, mode=mode, grad_accum_steps=accum, base_lr=1e-2, clip_max_norm=cap,
+        checkpoint_path=str(tmp_path / "flat.ckpt"),
+    )
+    res = train(models[0], samples, samples[:2], vocab, cfg)
+    state, logs, step = _per_tensor_train(models[1], samples, vocab, cfg)
+    save_checkpoint(models[1], state, tmp_path / "ref.ckpt", step=step, epoch=cfg.epochs, seed=cfg.seed)
+
+    assert [(e.step, e.loss, e.coord_loss, e.text_loss, e.lr, e.grad_norm) for e in res.logs] == logs
+    norms = [e.grad_norm for e in res.logs]
+    assert min(norms) < cap < max(norms)
+    # parameters and both moments, as checkpoint bytes
+    assert (tmp_path / "flat.ckpt").read_bytes() == (tmp_path / "ref.ckpt").read_bytes()
+    assert all(t.grad is None for t in models[0].params.tensors.values())
+
+
+@pytest.mark.parametrize("lora", [False, True])
+def test_backward_writes_leaves_only_with_the_bits_of_writing_every_node(lora):
+    samples, vocab = make_dataset(2)
+    prompt_ids = tokenize(HAZARD_PROMPT, vocab)
+    leaf_grads = []
+    for run_backward in (tz.backward, reference_backward):
+        model = _lora_model(vocab) if lora else small_model(vocab, seed=1)
+        with Tape() as tape:
+            closs, tloss = sample_losses(model, samples[0], prompt_ids, vocab, tau=0.5)
+            loss = tz.add(closs, tloss)
+        run_backward(tape, loss)
+        if run_backward is tz.backward:
+            assert all(node.output.grad is None for node in tape.nodes)
+        leaf_grads.append({n: t.grad for n, t in model.params.tensors.items() if t.requires_grad})
+    flat, ref = leaf_grads
+    assert flat.keys() == ref.keys()
+    for name, g in ref.items():
+        assert g is not None and flat[name].tobytes() == g.tobytes(), name
+
+
+def test_non_finite_op_during_training_is_divergence():
+    samples, vocab = make_dataset(6)
+    model = small_model(vocab)
+    cfg = quick_cfg(base_lr=1e30, warmup_start_lr=1e29, grad_accum_steps=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDiverged, match="non-finite values produced by op '"):
+            train(model, samples, samples[:2], vocab, cfg)
+    assert all(t.grad is None for t in model.params.tensors.values())
+
 
 def test_one_step_per_sample_when_accum_is_one():
     samples, vocab = make_dataset(6)
