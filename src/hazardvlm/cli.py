@@ -29,7 +29,7 @@ from .data import (
 from .localization import grid_to_pixel, hard_argmax  # noqa: F401
 from .model import HazardModel, ModelConfig, check_sampling
 from .optim import DivergenceError, convergence_probe, fitted_loglog_slope, probe_table
-from .tensor import Tensor
+from .tensor import NonFiniteError, Tensor
 from .training import (
     HAZARD_PROMPT,
     CheckpointError,
@@ -213,12 +213,9 @@ def cmd_train(args) -> int:
             raise UsageError("--init-from <base checkpoint> is required for lora mode")
         # token ids must line up with the base embeddings, so the base
         # run's vocabulary is reused; unseen tokens map to <unk>
-        base_vocab = _vocab_path(args.init_from)
-        if not base_vocab.exists():
-            raise DataError(f"vocabulary file {base_vocab} for the base checkpoint not found")
-        vocab = Vocabulary.load(base_vocab)
-        model = HazardModel(config_for(ModelConfig, cfg, vocab_size=len(vocab)), seed=cfg.seed)
-        apply_checkpoint(model, load_checkpoint(args.init_from))
+        model, vocab = _restore_model(cfg, args.init_from, None)
+        if model.lora_enabled:
+            raise DataError(f"{args.init_from} holds adapters; --init-from needs a base checkpoint")
         model.enable_lora(seed=cfg.seed)
     else:
         vocab = build_vocab([s.caption for s in samples] + [HAZARD_PROMPT])
@@ -391,6 +388,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (DataError, CheckpointError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except NonFiniteError as exc:
+        # train reports this as divergence; in eval and predict it is the
+        # checkpoint's weights that overflow
+        print(f"data error: checkpoint weights overflow: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingDiverged, DivergenceError) as exc:
         print(f"divergence: {exc}", file=sys.stderr)

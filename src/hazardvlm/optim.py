@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -58,10 +57,6 @@ class FlatArrays(Mapping[str, np.ndarray]):
         layout = _Layout(shapes)
         return cls(np.zeros(layout.size, dtype), layout)
 
-    @property
-    def shapes(self) -> dict[str, tuple[int, ...]]:
-        return self.layout.shapes
-
     def with_flat(self, flat: np.ndarray) -> "FlatArrays":
         """The same names and shapes over another flat array."""
         return FlatArrays(flat, self.layout)
@@ -84,21 +79,27 @@ class FlatArrays(Mapping[str, np.ndarray]):
         return len(self.layout.shapes)
 
 
-def _flatten(arrays: Mapping[str, np.ndarray], names: Sequence[str], dtype) -> FlatArrays:
-    """The arrays of ``names``, in that order, as one FlatArrays of
-    ``dtype``: ``arrays`` itself when it already is exactly that, else a
-    packed copy."""
+def _flatten(
+    arrays: Mapping[str, np.ndarray], shapes: Mapping[str, tuple[int, ...]], dtype, what: str
+) -> FlatArrays:
+    """The arrays of ``shapes``' names, in that order and of those shapes,
+    as one FlatArrays of ``dtype``: ``arrays`` itself when it already is
+    exactly that, else a packed copy. A missing or misshapen entry raises
+    ValueError naming ``what`` and the entry."""
     if (
         isinstance(arrays, FlatArrays)
         and arrays.flat.dtype == dtype
-        and list(arrays.shapes) == list(names)
+        and list(arrays.layout.shapes.items()) == list(shapes.items())
     ):
         return arrays
-    missing = [name for name in names if name not in arrays]
-    if missing:
-        raise ValueError(f"no gradient for '{missing[0]}'")
-    values = [np.asarray(arrays[name]) for name in names]
-    layout = _Layout({name: a.shape for name, a in zip(names, values)})
+    values = []
+    for name, shape in shapes.items():
+        if name not in arrays:
+            raise ValueError(f"no {what} for '{name}'")
+        values.append(np.asarray(arrays[name]))
+        if values[-1].shape != shape:
+            raise ValueError(f"{what} shape {values[-1].shape} != param shape {shape} for '{name}'")
+    layout = _Layout(shapes)
     packed = FlatArrays(np.empty(layout.size, dtype), layout)
     _pack(values, packed.flat)
     return packed
@@ -110,59 +111,25 @@ def _pack(arrays: Sequence[np.ndarray], out: np.ndarray) -> None:
         np.concatenate(arrays, axis=None, out=out)
 
 
-class _AdamWArrays:
-    """The flat arrays of AdamW over one parameter layout: both moments,
-    whose per-name views are what ``AdamWState.m`` and ``.v`` hold, and
-    the array the update runs in, with a view per parameter for writing
-    the new values back."""
-
-    def __init__(self, state: "AdamWState", shapes: dict[str, tuple[int, ...]], dtype):
-        for moments in (state.m, state.v):
-            for name, shape in shapes.items():
-                if name in moments and np.shape(moments[name]) != shape:
-                    raise ValueError(
-                        f"moment shape {np.shape(moments[name])} != param shape {shape} for '{name}'"
-                    )
-        self.dtype = dtype
-        self.m = FlatArrays.zeros(shapes, dtype)
-        self.v = self.m.with_flat(np.zeros_like(self.m.flat))
-        self.m_views = list(self.m.values())
-        self.v_views = list(self.v.values())
-        for moments, views in ((state.m, self.m_views), (state.v, self.v_views)):
-            for name, view in zip(shapes, views):
-                if name in moments:
-                    view[...] = moments[name]
-                moments[name] = view
-        self.out = np.empty_like(self.m.flat)
-        self.out_views = list(self.m.with_flat(self.out).values())
-
-    def serves(self, state: "AdamWState", shapes: dict[str, tuple[int, ...]], dtype) -> bool:
-        """Whether these still are the state's moments for ``shapes``; the
-        views are in layout order, so this also checks the order."""
-        return (
-            self.dtype == dtype
-            and self.m.shapes == shapes
-            and all(map(operator.is_, map(state.m.get, shapes), self.m_views))
-            and all(map(operator.is_, map(state.v.get, shapes), self.v_views))
-        )
-
-
 @dataclass
 class AdamWState:
-    """Per-parameter moment estimates plus shared hyperparameters.
+    """Moment estimates plus shared hyperparameters.
 
-    ``m`` and ``v`` map each parameter name to its moment array. After a
-    step these arrays are views into flat moment arrays that the state
-    keeps; a step that finds an entry replaced copies them all afresh."""
+    ``m`` and ``v`` map each parameter name to its moment array. They start
+    empty (zero moments) or as the dicts ``restore_optimizer_state``
+    builds; the first step replaces them with FlatArrays in the
+    parameters' layout, which later steps update in place."""
 
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.01
     t: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    _arrays: _AdamWArrays | None = field(default=None, init=False, repr=False, compare=False)
+    m: Mapping[str, np.ndarray] = field(default_factory=dict)
+    v: Mapping[str, np.ndarray] = field(default_factory=dict)
+    # (layout, array, views): the array the update runs in and a view of it
+    # per parameter for the write-back, kept for the moments' layout
+    _scratch: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def adamw_step(
@@ -180,26 +147,28 @@ def adamw_step(
     The update runs over all parameters at once, on flat arrays in the
     parameters' common dtype, and then writes each parameter in place;
     every element gets the bits of updating its tensor alone. A missing or
-    misshapen gradient raises ValueError before anything, the state
-    included, has changed.
+    misshapen gradient or moment raises ValueError before anything, the
+    state included, has changed.
     """
     if lr < 0:
         raise ValueError(f"negative learning rate {lr}")
     data = [p.data for p in params.values()]
     shapes = dict(zip(params, (d.shape for d in data)))
     dtype = np.result_type(*data) if data else DEFAULT_DTYPE
-    g = _flatten(grads, list(shapes), dtype)
-    if g.shapes != shapes:
-        name = next(n for n in shapes if g.shapes[n] != shapes[n])
-        raise ValueError(f"gradient shape {g.shapes[name]} != param shape {shapes[name]} for '{name}'")
-    work = state._arrays
-    if work is None or not work.serves(state, shapes, dtype):
-        work = state._arrays = _AdamWArrays(state, shapes, dtype)
+    g = _flatten(grads, shapes, dtype, "gradient")
+    m = _flatten(state.m, shapes, dtype, "moment m") if state.m else FlatArrays.zeros(shapes, dtype)
+    v = _flatten(state.v, shapes, dtype, "moment v") if state.v else FlatArrays.zeros(shapes, dtype)
+    state.m, state.v = m, v
+    kept = state._scratch
+    if kept is None or kept[0] is not m.layout:
+        out = np.empty_like(m.flat)
+        kept = state._scratch = (m.layout, out, list(m.with_flat(out).values()))
+    _, a, out_views = kept
     state.t += 1
     t = state.t
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
-    g, m, v, a = g.flat, work.m.flat, work.v.flat, work.out
+    g, m, v = g.flat, m.flat, v.flat
     b = np.empty_like(a)  # not kept: memory between steps stays at m, v and a
     # each line is one op of the per-tensor update, in its order:
     # m += (1 - b1) * (g - m);  v += (1 - b2) * (g * g - v)
@@ -222,7 +191,7 @@ def adamw_step(
     np.subtract(b, a, out=a)
     np.multiply(b, lr * state.weight_decay, out=b)
     np.subtract(a, b, out=a)
-    for d, new in zip(data, work.out_views):
+    for d, new in zip(data, out_views):
         d[...] = new
 
 
@@ -265,10 +234,11 @@ def clip_grad_norm(
     packed into a new one, leaving its arrays as they were.
     """
     if isinstance(grads, FlatArrays):
-        dtype = grads.flat.dtype
+        flat = grads
     else:
-        dtype = np.result_type(*map(np.asarray, grads.values())) if grads else DEFAULT_DTYPE
-    flat = _flatten(grads, list(grads), dtype)
+        arrays = {name: np.asarray(g) for name, g in grads.items()}
+        dtype = np.result_type(*arrays.values()) if arrays else DEFAULT_DTYPE
+        flat = _flatten(arrays, {name: a.shape for name, a in arrays.items()}, dtype, "gradient")
     if not np.isfinite(flat.flat).all():
         raise DivergenceError("non-finite gradient before clipping")
     total = 0.0

@@ -295,16 +295,6 @@ def shift(x: Tensor, c: float) -> Tensor:
     return _record("shift", (x,), x.data + float(c), bwd)
 
 
-def exp(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    out = np.exp(x.data)
-
-    def bwd(g):
-        return (g * out,)
-
-    return _record("exp", (x,), out, bwd)
-
-
 def log(x: Tensor) -> Tensor:
     x = _as_tensor(x)
 

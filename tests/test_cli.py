@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import struct
 import warnings
 
 import numpy as np
@@ -312,6 +314,51 @@ def test_lora_checkpoint_round_trips_through_eval(tmp_path, conf, trained, capsy
     rc = main(["eval", "--config", conf, "--checkpoint", str(lora_ckpt), "--dataset", str(data)])
     assert rc == EXIT_OK
     assert "bleu4 = " in capsys.readouterr().out
+
+
+def test_lora_checkpoint_as_init_from_is_data_error(tmp_path, conf, trained, capsys):
+    data, base_ckpt = trained
+    lora_ckpt = tmp_path / "lora.ckpt"
+    argv = ["train", "--config", conf, "--dataset", str(data), "--mode", "lora", *FAST_TRAIN]
+    assert main([*argv, "--out", str(lora_ckpt), "--init-from", str(base_ckpt)]) == EXIT_OK
+    capsys.readouterr()
+    again = tmp_path / "again.ckpt"
+    rc = main([*argv, "--out", str(again), "--init-from", str(lora_ckpt)])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "--init-from needs a base checkpoint" in err
+    assert not again.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_overflowing_checkpoint_is_data_error(tmp_path, conf, trained, capsys, command):
+    data, ckpt = trained
+    # overwrite the payload of one weight with 3e38, near the float32 limit
+    blob = bytearray(ckpt.read_bytes())
+    name = b"vis.patch_embed.w"
+    at = blob.index(name) + len(name)  # the tensor section comes first
+    (rank,) = struct.unpack_from("<I", blob, at)
+    dims = struct.unpack_from(f"<{rank}Q", blob, at + 4)
+    start = at + 4 + 8 * rank
+    blob[start : start + 4 * math.prod(dims)] = np.full(dims, 3e38, "<f4").tobytes()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(blob))
+    (tmp_path / "bad.ckpt.vocab").write_bytes((tmp_path / "model.ckpt.vocab").read_bytes())
+    if command == "eval":
+        argv = ["eval", "--dataset", str(data)]
+    else:
+        image = tmp_path / "gray.npy"
+        np.save(image, np.full((1, 16, 16), 0.5, np.float32))
+        argv = ["predict", "--image", str(image), "--greedy"]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+        rc = main([*argv, "--config", conf, "--checkpoint", str(bad)])
+    assert rc == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error: ")
+    assert "non-finite values produced by op 'matmul'" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from conftest import reference_adamw, reference_clip
 from hazardvlm import optim
 from hazardvlm.optim import (
     AdamWState,
+    FlatArrays,
     ScheduleConfig,
     adamw_step,
     clip_grad_norm,
@@ -16,6 +17,7 @@ from hazardvlm.optim import (
     lr_at,
 )
 from hazardvlm.tensor import Tensor
+from hazardvlm.training import Checkpoint, TrainConfig, restore_optimizer_state
 
 
 def test_zero_gradient_step_is_pure_decay():
@@ -154,23 +156,49 @@ def test_flat_clip_and_adamw_match_the_per_tensor_versions_bitwise(scale):
     assert list(state.m) == list(ref_state.m) == list(params)
 
 
-def test_adamw_step_reads_moments_assigned_between_steps():
-    # a state whose moment entries are replaced (as a restore does) steps
-    # from the new values, not from the flat copy the last step kept
+def test_moments_are_the_flat_arrays_the_step_updates():
+    params = {"a": Tensor(np.ones(3)), "b": Tensor(np.ones((2, 2)))}
+    grads = {"a": np.full(3, 0.5), "b": np.full((2, 2), -0.5)}
+    state = AdamWState()
+    adamw_step(params, grads, state, lr=0.1)
+    m, v = state.m, state.v
+    assert isinstance(m, FlatArrays) and isinstance(v, FlatArrays)
+    assert list(m) == list(v) == list(params)
+    m_before, v_before = m.flat.copy(), v.flat.copy()
+    adamw_step(params, grads, state, lr=0.1)
+    assert state.m is m and state.v is v  # updated in place
+    assert not np.array_equal(m.flat, m_before) and not np.array_equal(v.flat, v_before)
+    with pytest.raises(TypeError):
+        state.m["a"] = np.zeros(3)
+
+
+def test_adamw_step_reads_moments_a_restore_replaced():
+    # a state rebuilt from a checkpoint holds the checkpoint's moments as
+    # dicts; its next step starts from them, not from zeros
     rng = np.random.default_rng(2)
-    params = {n: Tensor(rng.standard_normal((2, 3))) for n in ("a", "b")}
+    params = {n: Tensor(rng.standard_normal((2, 3)).astype(np.float32)) for n in ("a", "b")}
     ref_params = {n: Tensor(p.data.copy()) for n, p in params.items()}
     state, ref_state = AdamWState(), AdamWState()
-    grads = {n: rng.standard_normal((2, 3)) for n in params}
+    grads = {n: rng.standard_normal((2, 3)).astype(np.float32) for n in params}
     adamw_step(params, grads, state, lr=0.1)
     reference_adamw(ref_params, grads, ref_state, lr=0.1)
-    state.m["b"] = state.m["b"] * 3.0
-    ref_state.m["b"] = ref_state.m["b"] * 3.0
-    adamw_step(params, grads, state, lr=0.1)
-    reference_adamw(ref_params, grads, ref_state, lr=0.1)
+    # restore moments the live state does not hold, so that stepping from
+    # the live ones or from zeros would show
+    moments = {}
+    for kind, arrays in (("m", ref_state.m), ("v", ref_state.v)):
+        for name, a in arrays.items():
+            a *= 3.0
+            moments[f"{kind}.{name}"] = a
+    ckpt = Checkpoint(tensors={}, moments=moments, step=ref_state.t, epoch=1, seed=0)
+    state = restore_optimizer_state(ckpt, TrainConfig())
+    for _ in range(2):
+        adamw_step(params, grads, state, lr=0.1)
+        reference_adamw(ref_params, grads, ref_state, lr=0.1)
+    assert state.t == ref_state.t == 3
     for name, p in ref_params.items():
         assert params[name].data.tobytes() == p.data.tobytes(), name
         assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
+        assert state.v[name].tobytes() == ref_state.v[name].tobytes(), name
 
 
 # ---------------------------------------------------------------------------

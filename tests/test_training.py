@@ -16,7 +16,7 @@ from conftest import (
     reference_clip,
     reference_take_grads,
 )
-from hazardvlm.optim import AdamWState, FlatArrays, ScheduleConfig, lr_at
+from hazardvlm.optim import AdamWState, FlatArrays, ScheduleConfig, adamw_step, lr_at
 from hazardvlm.training import (
     HAZARD_PROMPT,
     BadMagic,
@@ -32,6 +32,7 @@ from hazardvlm.training import (
     apply_checkpoint,
     evaluate,
     load_checkpoint,
+    restore_optimizer_state,
     sample_losses,
     save_checkpoint,
     train,
@@ -678,8 +679,6 @@ def test_unknown_checkpoint_tensor_rejected(tmp_path):
 
 
 def test_optimizer_state_round_trips(tmp_path):
-    from hazardvlm.training import restore_optimizer_state
-
     samples, vocab = make_dataset(6)
     model = small_model(vocab, seed=1)
     cfg = quick_cfg(checkpoint_path=str(tmp_path / "m.ckpt"))
@@ -692,3 +691,65 @@ def test_optimizer_state_round_trips(tmp_path):
     for name, arr in state.m.items():
         np.testing.assert_array_equal(arr, ckpt.moments[f"m.{name}"])
         assert (state.v[name] >= 0).all()
+
+
+def _trained_with_live_state(tmp_path, monkeypatch):
+    """A small pretrained model, its checkpoint and config, and the
+    optimizer state the run ended with."""
+    from hazardvlm import training
+
+    states = []
+
+    def recording(params, grads, state, lr):
+        states.append(state)
+        adamw_step(params, grads, state, lr)
+
+    monkeypatch.setattr(training, "adamw_step", recording)
+    samples, vocab = make_dataset(6)
+    model = small_model(vocab, seed=1)
+    cfg = quick_cfg(checkpoint_path=str(tmp_path / "m.ckpt"))
+    train(model, samples, samples[:2], vocab, cfg)
+    return model, load_checkpoint(cfg.checkpoint_path), cfg, states[-1]
+
+
+def test_a_restored_optimizer_state_steps_like_the_live_one(tmp_path, monkeypatch):
+    model, ckpt, cfg, live = _trained_with_live_state(tmp_path, monkeypatch)
+    restored = restore_optimizer_state(ckpt, cfg)
+    assert restored.t == live.t == ckpt.step
+    twin = HazardModel(model.config, seed=2)
+    apply_checkpoint(twin, ckpt)
+    rng = np.random.default_rng(5)
+    params, twin_params = model.trainable_tensors(), twin.trainable_tensors()
+    grads = {n: rng.standard_normal(p.shape).astype(np.float32) for n, p in params.items()}
+    adamw_step(params, grads, live, 1e-3)
+    adamw_step(twin_params, grads, restored, 1e-3)
+    assert isinstance(restored.m, FlatArrays) and isinstance(restored.v, FlatArrays)
+    assert list(restored.m) == list(live.m) == list(params)
+    for name, p in params.items():
+        assert twin_params[name].data.tobytes() == p.data.tobytes(), name
+        assert restored.m[name].tobytes() == live.m[name].tobytes(), name
+        assert restored.v[name].tobytes() == live.v[name].tobytes(), name
+
+
+@pytest.mark.parametrize("kind", ["m", "v"])
+@pytest.mark.parametrize("bad", ["missing", "misshapen"])
+def test_restored_moments_must_match_the_parameters(tmp_path, monkeypatch, kind, bad):
+    model, ckpt, cfg, _ = _trained_with_live_state(tmp_path, monkeypatch)
+    state = restore_optimizer_state(ckpt, cfg)
+    params = model.trainable_tensors()
+    name = list(params)[-1]
+    moments = getattr(state, kind)
+    if bad == "missing":
+        del moments[name]
+    else:
+        moments[name] = np.zeros(moments[name].size + 1, np.float32)
+    data, m, v = {n: p.data for n, p in params.items()}, state.m, state.v
+    before = [{n: a.copy() for n, a in arrays.items()} for arrays in (data, m, v)]
+    grads = {n: np.ones(p.shape, np.float32) for n, p in params.items()}
+    with pytest.raises(ValueError, match=f"moment {kind}.*'{name}'"):
+        adamw_step(params, grads, state, 1e-3)
+    assert state.t == ckpt.step and state.m is m and state.v is v
+    for was, now in zip(before, (data, m, v)):
+        assert was.keys() == now.keys()
+        for n, arr in was.items():
+            assert now[n].tobytes() == arr.tobytes(), n
