@@ -163,15 +163,16 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _check_image_shape(shape: tuple[int, ...], cfg: RunConfig, what: str) -> None:
-    expected = (cfg.channels, cfg.image_size, cfg.image_size)
+def _check_image_shape(shape: tuple[int, ...], geometry, what: str) -> None:
+    """``geometry`` is the run config or a checkpoint's model config."""
+    expected = (geometry.channels, geometry.image_size, geometry.image_size)
     if shape != expected:
         raise DataError(f"{what} shape {shape} does not match configured {expected}")
 
 
-def _load_samples(path: str, cfg: RunConfig):
+def _load_samples(path: str, geometry):
     """The dataset's samples. DataError when a record is invalid, there is
-    no sample, or an image does not have the configured geometry."""
+    no sample, or an image does not have the geometry's shape."""
     samples, errors = load_dataset(path)
     if errors:
         for err in errors:
@@ -180,7 +181,7 @@ def _load_samples(path: str, cfg: RunConfig):
     if not samples:
         raise DataError(f"no samples in {path}")
     for i, sample in enumerate(samples):
-        _check_image_shape(sample.image.shape, cfg, f"{path}, sample {i + 1}: image")
+        _check_image_shape(sample.image.shape, geometry, f"{path}, sample {i + 1}: image")
     return samples
 
 
@@ -205,28 +206,27 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = build_run_config(args)
-    samples = _load_samples(args.dataset, cfg)
-    d_train, d_val = split(samples, cfg.val_fraction, seed=cfg.seed)
-
     if cfg.mode == "lora":
         if not args.init_from:
             raise UsageError("--init-from <base checkpoint> is required for lora mode")
         # token ids must line up with the base embeddings, so the base
         # run's vocabulary is reused; unseen tokens map to <unk>
-        model, vocab = _restore_model(cfg, args.init_from, None)
-        if model.lora_enabled:
-            raise DataError(f"{args.init_from} holds adapters; --init-from needs a base checkpoint")
-        model.enable_lora(seed=cfg.seed)
+        model, vocab = _restore_model(args.init_from, None, cfg.seed, lora_rank=cfg.lora_rank)
+        # echo the model the run trains: the base's, with the run's rank
+        for name in _FIELD_TYPES.keys() & {f.name for f in dataclasses.fields(ModelConfig)}:
+            setattr(cfg, name, getattr(model.config, name))
+        samples = _load_samples(args.dataset, model.config)
     else:
+        samples = _load_samples(args.dataset, cfg)
         vocab = build_vocab([s.caption for s in samples] + [HAZARD_PROMPT])
         model = HazardModel(config_for(ModelConfig, cfg, vocab_size=len(vocab)), seed=cfg.seed)
+    d_train, d_val = split(samples, cfg.val_fraction, seed=cfg.seed)
 
-    overlong = [
-        i for i, s in enumerate(samples) if len(tokenize(s.caption, vocab)) - 1 > cfg.max_caption_len
-    ]
+    max_len = model.config.max_caption_len
+    overlong = [i for i, s in enumerate(samples) if len(tokenize(s.caption, vocab)) - 1 > max_len]
     if overlong:
         raise DataError(
-            f"{len(overlong)} caption(s) exceed max_caption_len={cfg.max_caption_len} "
+            f"{len(overlong)} caption(s) exceed max_caption_len={max_len} "
             f"(first at sample {overlong[0]})"
         )
 
@@ -244,15 +244,32 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _restore_model(cfg: RunConfig, checkpoint: str, vocab_file: str | None):
+def _restore_model(checkpoint: str, vocab_file: str | None, seed: int, lora_rank: int | None = None):
+    """The model a checkpoint's config describes, holding the file's
+    tensors, and the vocabulary its token ids index. ``lora_rank`` asks for
+    a base checkpoint and fresh adapters of that rank (a LoRA run)."""
     vocab_path = Path(vocab_file) if vocab_file else _vocab_path(checkpoint)
     if not vocab_path.exists():
         raise DataError(f"vocabulary file {vocab_path} not found")
     vocab = Vocabulary.load(vocab_path)
     ckpt = load_checkpoint(checkpoint)
-    model = HazardModel(config_for(ModelConfig, cfg, vocab_size=len(vocab)), seed=cfg.seed)
-    if any(name.startswith("lora.") for name in ckpt.tensors):
-        model.enable_lora(seed=cfg.seed)
+    config = ckpt.config
+    if len(vocab) != config.vocab_size:
+        raise DataError(
+            f"vocabulary {vocab_path} has {len(vocab)} tokens, {checkpoint} was built for {config.vocab_size}"
+        )
+    adapted = any(name.startswith("lora.") for name in ckpt.tensors)
+    if lora_rank is not None:
+        if adapted:
+            raise DataError(f"{checkpoint} holds adapters; --init-from needs a base checkpoint")
+        try:
+            config = dataclasses.replace(config, lora_rank=lora_rank)
+        except ValueError as exc:
+            raise UsageError(f"bad config: lora_rank = {lora_rank} over {checkpoint}: {exc}") from exc
+    model = HazardModel(config, seed=seed)
+    if adapted or lora_rank is not None:
+        # adapters the file lacks keep their fresh initialization
+        model.enable_lora(seed=seed)
     apply_checkpoint(model, ckpt)
     return model, vocab
 
@@ -261,8 +278,8 @@ def cmd_eval(args) -> int:
     cfg = build_run_config(args)
     if cfg.max_samples < 0:
         raise UsageError(f"max_samples must be >= 0 (0: no cap), got {cfg.max_samples}")
-    model, vocab = _restore_model(cfg, args.checkpoint, args.vocab)
-    samples = _load_samples(args.dataset, cfg)
+    model, vocab = _restore_model(args.checkpoint, args.vocab, cfg.seed)
+    samples = _load_samples(args.dataset, model.config)
     report = evaluate(model, samples, vocab, max_samples=cfg.max_samples or None)
     print(report.as_text(), end="")
     if args.out:
@@ -279,12 +296,12 @@ def cmd_predict(args) -> int:
         check_sampling(top_p, cfg.temperature)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    model, vocab = _restore_model(cfg, args.checkpoint, args.vocab)
+    model, vocab = _restore_model(args.checkpoint, args.vocab, cfg.seed)
     try:
         image = load_image(args.image)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    _check_image_shape(image.shape, cfg, "image")
+    _check_image_shape(image.shape, model.config, "image")
     predict = Predictor(model, tokenize(HAZARD_PROMPT, vocab))
     point, ids = predict(Tensor(image), top_p=top_p, temperature=cfg.temperature, seed=cfg.seed)
     output = f"hazard=({point.x:g}, {point.y:g})\n{detokenize(ids, vocab)}\n"

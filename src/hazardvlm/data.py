@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -292,6 +292,14 @@ def split(
 # synthetic scenes
 # ---------------------------------------------------------------------------
 
+def check_sizes(config) -> None:
+    """ValueError unless every integer field of the dataclass ``config``,
+    each a size or a count, is at least 1."""
+    for f in fields(config):
+        if f.type == "int" and getattr(config, f.name) < 1:
+            raise ValueError(f"{f.name} must be at least 1, got {getattr(config, f.name)}")
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     image_size: int = 32
@@ -302,6 +310,7 @@ class SynthConfig:
     noise_high: float = 0.3
 
     def __post_init__(self):
+        check_sizes(self)
         if self.image_size % self.patch_size:
             raise DataError("image_size must be divisible by patch_size")
         if self.blob_peak < 0.8:

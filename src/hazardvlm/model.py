@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tz
-from .data import RESERVED, START, END
+from .data import END, RESERVED, START, check_sizes
 from .localization import AttentionMap, aggregate_heads
 from .tensor import Tensor
 
@@ -45,6 +45,7 @@ class ModelConfig:
     ffn_mult: int = 4
 
     def __post_init__(self):
+        check_sizes(self)
         if self.image_size % self.patch_size:
             raise ValueError("image_size must be divisible by patch_size")
         if self.embed_dim % self.heads:

@@ -6,11 +6,13 @@ CSV logging, per-epoch validation, and binary checkpoints.
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, field
+import zlib
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -20,7 +22,7 @@ from . import tensor as tz
 from .data import AnnotatedSample, Vocabulary, detokenize, normalize, tokenize
 from .localization import PixelPoint, grid_to_pixel, hard_argmax, pixel_to_grid, soft_argmax
 from .metrics import MetricsReport, corpus_report
-from .model import HazardModel
+from .model import HazardModel, ModelConfig
 from .objective import LossWeights, coord_loss, total_loss
 from .optim import AdamWState, FlatArrays, ScheduleConfig, adamw_step, clip_grad_norm, lr_at
 from .tensor import Tape, Tensor
@@ -334,13 +336,16 @@ def evaluate(
 # checkpoints
 # ---------------------------------------------------------------------------
 # Layout (all integers little-endian):
-#   magic "INSG" | version u32 | tensor section | moment section | metadata
-# where a section is: count u32, then per entry:
+#   magic "INSG" | version u32 | crc32 u32 | length u64 | payload
+# where crc32 (zlib's) and length are those of the payload, which is:
+#   config | tensor section | moment section | metadata
+# config is the model's ModelConfig: len u32 | UTF-8 JSON, keys sorted;
+# a section is: count u32, then per entry:
 #   name_len u32 | name utf-8 | rank u32 | dims u64 each | float32 payload
 # and metadata is three u64 scalars: step, epoch, seed.
 
 MAGIC = b"INSG"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -361,6 +366,7 @@ class Truncated(CheckpointError):
 
 @dataclass
 class Checkpoint:
+    config: ModelConfig
     tensors: dict[str, np.ndarray]
     moments: dict[str, np.ndarray]
     step: int
@@ -388,8 +394,10 @@ def save_checkpoint(
     epoch: int,
     seed: int,
 ) -> None:
-    """Atomic binary dump of all model tensors plus optimizer moments."""
-    chunks: list[bytes] = [MAGIC, struct.pack("<I", VERSION)]
+    """Atomic binary dump of the model's config and tensors plus optimizer
+    moments."""
+    config = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
+    chunks: list[bytes] = [struct.pack("<I", len(config)), config]
     _write_section(chunks, {n: t.data for n, t in model.params.tensors.items()})
     moments: dict[str, np.ndarray] = {}
     if state is not None:
@@ -399,12 +407,14 @@ def save_checkpoint(
             moments[f"v.{name}"] = arr
     _write_section(chunks, moments)
     chunks.append(struct.pack("<3Q", step, epoch, seed))
+    payload = b"".join(chunks)
 
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(b"".join(chunks))
+            fh.write(MAGIC + struct.pack("<IIQ", VERSION, zlib.crc32(payload), len(payload)))
+            fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -427,36 +437,56 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
+    def config(self) -> ModelConfig:
+        values = json.loads(self.take(self.u32()).decode("utf-8"))
+        types = {f.name: f.type for f in fields(ModelConfig)}
+        if not isinstance(values, dict) or {k: type(v).__name__ for k, v in values.items()} != types:
+            raise ValueError("stored model config does not have ModelConfig's fields and types")
+        return ModelConfig(**values)
+
     def section(self) -> dict[str, np.ndarray]:
         entries: dict[str, np.ndarray] = {}
         for _ in range(self.u32()):
             name = self.take(self.u32()).decode("utf-8")
             rank = self.u32()
             dims = struct.unpack(f"<{rank}Q", self.take(8 * rank))
-            count = int(np.prod(dims)) if rank else 1
-            data = np.frombuffer(self.take(4 * count), dtype="<f4").reshape(dims)
+            data = np.frombuffer(self.take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
             entries[name] = data.copy()
         return entries
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    blob = Path(path).read_bytes()
+    """A checkpoint written by ``save_checkpoint``. Any file that is not
+    one, unreadable, corrupt or of another version, is a CheckpointError;
+    the checksum is verified before the payload is parsed."""
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     r = _Reader(blob)
     if r.take(4) != MAGIC:
         raise BadMagic(f"{path} is not a checkpoint (bad magic)")
     version = r.u32()
     if version != VERSION:
         raise BadVersion(f"unsupported checkpoint version {version}")
+    crc, length = struct.unpack("<IQ", r.take(12))
+    payload = r.take(length)
+    if r.pos != len(blob):
+        raise CheckpointError(f"{len(blob) - r.pos} trailing bytes after checkpoint payload")
+    if zlib.crc32(payload) != crc:
+        raise CheckpointError(f"{path}: checksum mismatch, the checkpoint is corrupt")
+    r = _Reader(payload)
     try:
+        config = r.config()
         tensors = r.section()
         moments = r.section()
         step, epoch, seed = struct.unpack("<3Q", r.take(24))
-    except (ValueError, OverflowError, struct.error) as exc:
-        # a corrupted name, rank or dimension (UnicodeDecodeError is a ValueError)
-        raise CheckpointError(f"{path}: malformed checkpoint section ({exc})") from exc
-    if r.pos != len(blob):
-        raise CheckpointError(f"{len(blob) - r.pos} trailing bytes after checkpoint payload")
-    return Checkpoint(tensors=tensors, moments=moments, step=step, epoch=epoch, seed=seed)
+    except (ValueError, OverflowError, RecursionError, struct.error) as exc:
+        # a corrupted config, name, rank or dimension (UnicodeDecodeError is a ValueError)
+        raise CheckpointError(f"{path}: malformed checkpoint payload ({exc})") from exc
+    if r.pos != len(payload):
+        raise CheckpointError(f"{len(payload) - r.pos} trailing bytes in checkpoint payload")
+    return Checkpoint(config=config, tensors=tensors, moments=moments, step=step, epoch=epoch, seed=seed)
 
 
 def apply_checkpoint(model: HazardModel, ckpt: Checkpoint) -> None:

@@ -1,14 +1,28 @@
 """Shared helpers: the differentiable-op battery used by the tensor tests
-and the acceptance suite, and per-tensor reference versions of backward,
+and the acceptance suite, per-tensor reference versions of backward,
 gradient accumulation, clipping and AdamW that the flat, whole-model
-versions in the library must match bit for bit."""
+versions in the library must match bit for bit, and a checkpoint writer
+for tests that corrupt a payload on purpose."""
 
 import math
+import struct
+import zlib
 
 import numpy as np
 
 from hazardvlm import tensor as T
 from hazardvlm.tensor import Tensor
+from hazardvlm.training import MAGIC, VERSION
+
+
+# magic, then version, crc32 and length; the payload follows
+CHECKPOINT_HEADER = len(MAGIC) + struct.calcsize("<IIQ")
+
+
+def sealed_checkpoint(payload: bytes) -> bytes:
+    """A checkpoint file around ``payload`` whose checksum and length
+    fields match it, so the reader goes on to parse the payload."""
+    return MAGIC + struct.pack("<IIQ", VERSION, zlib.crc32(payload), len(payload)) + payload
 
 
 def away_from_zero(rng, *shape):

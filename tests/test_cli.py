@@ -7,8 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import CHECKPOINT_HEADER, sealed_checkpoint
 from hazardvlm.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, RunConfig, main
 from hazardvlm.data import load_dataset
+from hazardvlm.training import load_checkpoint
 
 FAST_TRAIN = [
     "--epochs", "1",
@@ -98,8 +100,6 @@ def test_train_produces_checkpoint_log_and_vocab(tmp_path, conf, capsys):
     assert log.exists()
     rows = log.read_text().strip().splitlines()
     n_steps = len(rows) - 1
-    from hazardvlm.training import load_checkpoint
-
     assert load_checkpoint(ckpt).step == n_steps
     assert (tmp_path / "model.ckpt.vocab").exists()
     assert int(rows[-1].split(",")[0]) == n_steps - 1
@@ -291,11 +291,11 @@ def test_corrupt_checkpoint_is_data_error(tmp_path, conf, trained):
 
 def test_checkpoint_with_undecodable_name_is_data_error(tmp_path, conf, trained):
     data, ckpt = trained
-    blob = bytearray(ckpt.read_bytes())
-    # magic, version, tensor count and name length precede the first name
-    blob[16] = 0xFF  # never valid in UTF-8
+    blob = bytearray(ckpt.read_bytes()[CHECKPOINT_HEADER:])
+    # the first tensor's name, after the model config
+    blob[blob.index(b"vis.patch_embed.w")] = 0xFF  # never valid in UTF-8
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(bytes(blob))
+    bad.write_bytes(sealed_checkpoint(bytes(blob)))
     (tmp_path / "bad.ckpt.vocab").write_bytes((tmp_path / "model.ckpt.vocab").read_bytes())
     img_path = tmp_path / "img.npy"
     np.save(img_path, load_dataset(data)[0][0].image)
@@ -331,10 +331,123 @@ def test_lora_checkpoint_as_init_from_is_data_error(tmp_path, conf, trained, cap
 
 
 @pytest.mark.parametrize("command", ["eval", "predict"])
+def test_checkpoint_brings_its_model_config(tmp_path, conf, trained, capsys, command):
+    # the small geometry is read from the file: the run's config adds nothing
+    data, ckpt = trained
+    if command == "eval":
+        argv = ["eval", "--checkpoint", str(ckpt), "--dataset", str(data)]
+    else:
+        image = tmp_path / "img.npy"
+        np.save(image, load_dataset(data)[0][0].image)
+        argv = ["predict", "--checkpoint", str(ckpt), "--image", str(image), "--greedy"]
+    capsys.readouterr()
+    assert main([*argv, "--config", conf]) == EXIT_OK
+    configured = capsys.readouterr().out
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == configured
+
+
+def test_lora_checkpoint_evaluates_under_reported_hparams(tmp_path, conf, trained, capsys):
+    # the preset's lora_rank = 8 does not rebuild adapters trained at rank 4
+    data, base_ckpt = trained
+    lora_ckpt = tmp_path / "lora.ckpt"
+    rank4 = tmp_path / "rank4.conf"
+    rank4.write_text(SMALL_CONF + "lora_rank = 4\n")
+    rc = main([
+        "train", "--config", str(rank4), "--dataset", str(data), "--out", str(lora_ckpt),
+        "--mode", "lora", "--init-from", str(base_ckpt), *FAST_TRAIN,
+    ])
+    assert rc == EXIT_OK
+    assert load_checkpoint(lora_ckpt).tensors["lora.vis.0.attn.wq.a"].shape == (16, 4)
+    capsys.readouterr()
+    argv = ["eval", "--checkpoint", str(lora_ckpt), "--dataset", str(data)]
+    assert main([*argv, "--config", conf, "--reported-hparams"]) == EXIT_OK
+    assert "bleu4 = " in capsys.readouterr().out
+
+
+def test_lora_run_takes_its_rank_and_the_rest_from_the_base(tmp_path, trained, capsys):
+    data, base_ckpt = trained
+    lora_ckpt = tmp_path / "lora.ckpt"
+    rc = main([
+        "train", "--dataset", str(data), "--out", str(lora_ckpt), "--mode", "lora",
+        "--init-from", str(base_ckpt), "--reported-hparams", "--epochs", "1",
+    ])
+    assert rc == EXIT_OK
+    echoed = capsys.readouterr().out.splitlines()
+    assert "image_size = 16" in echoed and "lora_rank = 8" in echoed
+    base, lora = load_checkpoint(base_ckpt), load_checkpoint(lora_ckpt)
+    assert (base.config.lora_rank, lora.config.lora_rank) == (2, 8)
+    assert dataclasses.replace(lora.config, lora_rank=2) == base.config
+    assert lora.tensors["lora.vis.0.attn.wq.a"].shape == (16, 8)
+    assert main(["eval", "--checkpoint", str(lora_ckpt), "--dataset", str(data)]) == EXIT_OK
+    assert "bleu4 = " in capsys.readouterr().out
+
+
+def test_lora_rank_the_base_geometry_rejects_is_usage_error(tmp_path, conf, trained, capsys):
+    # the small base has latent_dim = 8, so rank 9 does not fit
+    data, base_ckpt = trained
+    out = tmp_path / "lora.ckpt"
+    rank9 = tmp_path / "rank9.conf"
+    rank9.write_text("lora_rank = 9\n")
+    rc = main([
+        "train", "--config", str(rank9), "--dataset", str(data), "--out", str(out),
+        "--mode", "lora", "--init-from", str(base_ckpt),
+    ])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "train"])
+def test_vocabulary_of_another_size_is_data_error(tmp_path, conf, trained, capsys, command):
+    data, ckpt = trained
+    vocab = tmp_path / "model.ckpt.vocab"
+    size = len(vocab.read_text(encoding="utf-8").splitlines())
+    with vocab.open("a", encoding="utf-8") as fh:
+        fh.write("wombat\n")
+    if command == "eval":
+        argv = ["eval", "--checkpoint", str(ckpt), "--dataset", str(data)]
+    elif command == "predict":
+        image = tmp_path / "img.npy"
+        np.save(image, load_dataset(data)[0][0].image)
+        argv = ["predict", "--checkpoint", str(ckpt), "--image", str(image)]
+    else:
+        argv = ["train", "--dataset", str(data), "--out", str(tmp_path / "lora.ckpt"),
+                "--mode", "lora", "--init-from", str(ckpt)]
+    capsys.readouterr()
+    rc = main([*argv, "--config", conf])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and f"has {size + 1} tokens" in err and f"built for {size}" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "train"])
+def test_unreadable_checkpoint_is_data_error(tmp_path, conf, trained, capsys, command):
+    data, ckpt = trained
+    folder = tmp_path / "folder.ckpt"
+    folder.mkdir()
+    vocab = tmp_path / "folder.ckpt.vocab"
+    vocab.write_bytes((tmp_path / "model.ckpt.vocab").read_bytes())
+    if command == "eval":
+        argv = ["eval", "--checkpoint", str(folder), "--dataset", str(data)]
+    elif command == "predict":
+        image = tmp_path / "img.npy"
+        np.save(image, load_dataset(data)[0][0].image)
+        argv = ["predict", "--checkpoint", str(folder), "--image", str(image), "--vocab", str(vocab)]
+    else:
+        argv = ["train", "--dataset", str(data), "--out", str(tmp_path / "lora.ckpt"),
+                "--mode", "lora", "--init-from", str(folder)]
+    capsys.readouterr()
+    rc = main([*argv, "--config", conf])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"data error: cannot read checkpoint {folder}")
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
 def test_overflowing_checkpoint_is_data_error(tmp_path, conf, trained, capsys, command):
     data, ckpt = trained
     # overwrite the payload of one weight with 3e38, near the float32 limit
-    blob = bytearray(ckpt.read_bytes())
+    blob = bytearray(ckpt.read_bytes()[CHECKPOINT_HEADER:])
     name = b"vis.patch_embed.w"
     at = blob.index(name) + len(name)  # the tensor section comes first
     (rank,) = struct.unpack_from("<I", blob, at)
@@ -342,7 +455,7 @@ def test_overflowing_checkpoint_is_data_error(tmp_path, conf, trained, capsys, c
     start = at + 4 + 8 * rank
     blob[start : start + 4 * math.prod(dims)] = np.full(dims, 3e38, "<f4").tobytes()
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(bytes(blob))
+    bad.write_bytes(sealed_checkpoint(bytes(blob)))
     (tmp_path / "bad.ckpt.vocab").write_bytes((tmp_path / "model.ckpt.vocab").read_bytes())
     if command == "eval":
         argv = ["eval", "--dataset", str(data)]
@@ -363,13 +476,19 @@ def test_overflowing_checkpoint_is_data_error(tmp_path, conf, trained, capsys, c
 
 @pytest.mark.parametrize(
     "command, line",
-    [("train", "epochs = 0"), ("predict", "patch_size = 5"), ("predict", "temperature = 0"), ("predict", "top_p = 1.5")],
+    [
+        ("train", "epochs = 0"), ("train", "patch_size = 5"), ("predict", "temperature = 0"),
+        ("predict", "top_p = 1.5"), ("synth", "patch_size = 0"), ("train", "heads = 0"),
+        ("train", "encoder_layers = 0"),
+    ],
 )
 def test_config_value_the_library_rejects_is_usage_error(tmp_path, trained, capsys, command, line):
     data, ckpt = trained
     bad = tmp_path / "bad.conf"
     bad.write_text(SMALL_CONF + line + "\n")
-    if command == "train":
+    if command == "synth":
+        argv = ["synth", "--out", str(tmp_path / "d.jsonl")]
+    elif command == "train":
         argv = ["train", "--dataset", str(data), "--out", str(tmp_path / "x.ckpt")]
     else:
         img = tmp_path / "img.npy"

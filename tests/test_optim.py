@@ -16,6 +16,7 @@ from hazardvlm.optim import (
     fitted_loglog_slope,
     lr_at,
 )
+from hazardvlm.model import HazardModel, ModelConfig
 from hazardvlm.tensor import Tensor
 from hazardvlm.training import Checkpoint, TrainConfig, restore_optimizer_state
 
@@ -127,8 +128,6 @@ def test_adamw_step_checks_every_gradient_before_changing_anything(bad):
 def _default_model_params():
     """The default model's trainable tensors: 131 float32 tensors in 53
     runs of neighbours of equal size."""
-    from hazardvlm.model import HazardModel, ModelConfig
-
     return HazardModel(ModelConfig(vocab_size=28), seed=0).trainable_tensors()
 
 
@@ -189,7 +188,7 @@ def test_adamw_step_reads_moments_a_restore_replaced():
         for name, a in arrays.items():
             a *= 3.0
             moments[f"{kind}.{name}"] = a
-    ckpt = Checkpoint(tensors={}, moments=moments, step=ref_state.t, epoch=1, seed=0)
+    ckpt = Checkpoint(config=ModelConfig(), tensors={}, moments=moments, step=ref_state.t, epoch=1, seed=0)
     state = restore_optimizer_state(ckpt, TrainConfig())
     for _ in range(2):
         adamw_step(params, grads, state, lr=0.1)

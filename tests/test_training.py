@@ -1,8 +1,12 @@
+import contextlib
 import math
+import os
+import struct
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hazardvlm import tensor as tz
 from hazardvlm.data import SynthConfig, build_vocab, detokenize, normalize, synth_generate, tokenize
@@ -10,18 +14,23 @@ from hazardvlm.localization import grid_to_pixel, hard_argmax
 from hazardvlm.metrics import corpus_report
 from hazardvlm.model import HazardModel, ModelConfig
 from conftest import (
+    CHECKPOINT_HEADER,
     reference_accumulate,
     reference_adamw,
     reference_backward,
     reference_clip,
     reference_take_grads,
+    sealed_checkpoint,
 )
 from hazardvlm.optim import AdamWState, FlatArrays, ScheduleConfig, adamw_step, lr_at
 from hazardvlm.training import (
     HAZARD_PROMPT,
+    MAGIC,
+    VERSION,
     BadMagic,
     BadVersion,
     Checkpoint,
+    CheckpointError,
     LOG_HEADER,
     Predictor,
     TrainConfig,
@@ -579,6 +588,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     save_checkpoint(model, state, path, step=7, epoch=2, seed=9)
 
     ckpt = load_checkpoint(path)
+    assert ckpt.config == model.config
     assert (ckpt.step, ckpt.epoch, ckpt.seed) == (7, 2, 9)
     for name, tensor in model.params.tensors.items():
         assert np.array_equal(ckpt.tensors[name], tensor.data)
@@ -625,26 +635,73 @@ def test_checkpoint_corruption_errors_are_distinct(tmp_path):
         load_checkpoint(truncated)
 
 
-def test_checkpoint_header_bit_flips_raise_only_checkpoint_error(tmp_path):
-    from hazardvlm.training import CheckpointError
+TINY_MODEL = ModelConfig(
+    image_size=4, patch_size=2, embed_dim=4, heads=1, encoder_layers=1,
+    decoder_layers=1, vocab_size=6, latent_dim=2, lora_rank=1, max_caption_len=4,
+)
 
-    tiny = ModelConfig(
-        image_size=4, patch_size=2, embed_dim=4, heads=1, encoder_layers=1,
-        decoder_layers=1, vocab_size=6, latent_dim=2, lora_rank=1, max_caption_len=4,
-    )
-    path = tmp_path / "tiny.ckpt"
-    save_checkpoint(HazardModel(tiny, seed=0), None, path, step=0, epoch=0, seed=0)
-    blob = path.read_bytes()
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory) -> bytes:
+    path = tmp_path_factory.mktemp("tiny") / "tiny.ckpt"
+    save_checkpoint(HazardModel(TINY_MODEL, seed=0), None, path, step=0, epoch=0, seed=0)
+    return path.read_bytes()
+
+
+def test_checkpoint_header_bit_flips_raise_only_checkpoint_error(tmp_path, tiny_checkpoint):
+    # every single-bit flip anywhere in the file is caught, by the magic,
+    # the version, the length or the checksum
+    blob = tiny_checkpoint
     flipped = tmp_path / "flipped.ckpt"
-    for byte in range(min(200, len(blob))):
-        for bit in range(8):
-            corrupt = bytearray(blob)
-            corrupt[byte] ^= 1 << bit
-            flipped.write_bytes(bytes(corrupt))
-            try:
-                load_checkpoint(flipped)
-            except CheckpointError:
-                pass
+    flipped.write_bytes(blob)
+    fd = os.open(flipped, os.O_WRONLY)
+    try:
+        for byte in range(len(blob)):
+            for bit in range(8):
+                os.pwrite(fd, bytes([blob[byte] ^ 1 << bit]), byte)
+                with pytest.raises(CheckpointError):
+                    load_checkpoint(flipped)
+            os.pwrite(fd, blob[byte : byte + 1], byte)
+    finally:
+        os.close(fd)
+
+
+def _reads_or_raises_checkpoint_error(tmp_path, blob: bytes) -> None:
+    path = tmp_path / "fuzz.ckpt"
+    path.write_bytes(blob)
+    with contextlib.suppress(CheckpointError):
+        load_checkpoint(path)
+
+
+FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(blob=st.binary(max_size=64))
+def test_checkpoint_reader_fuzz_random_bytes(tmp_path, blob):
+    _reads_or_raises_checkpoint_error(tmp_path, blob)
+
+
+@FUZZ
+@given(rest=st.binary(max_size=256))
+def test_checkpoint_reader_fuzz_after_magic_and_version(tmp_path, rest):
+    _reads_or_raises_checkpoint_error(tmp_path, MAGIC + struct.pack("<I", VERSION) + rest)
+
+
+@FUZZ
+@given(
+    edits=st.lists(st.tuples(st.integers(0, 2**16), st.binary(min_size=1, max_size=8)), min_size=1, max_size=4),
+    cut=st.one_of(st.none(), st.integers(0, 2**16)),
+)
+def test_checkpoint_reader_fuzz_resealed_corruptions(tmp_path, tiny_checkpoint, edits, cut):
+    # the checksum and length are recomputed, so the corrupt payload reaches the parser
+    payload = bytearray(tiny_checkpoint[CHECKPOINT_HEADER:])
+    for at, data in edits:
+        at %= len(payload)
+        payload[at : at + len(data)] = data
+    if cut is not None:
+        payload = payload[: cut % (len(payload) + 1)]
+    _reads_or_raises_checkpoint_error(tmp_path, sealed_checkpoint(bytes(payload)))
 
 
 def test_pretrain_checkpoint_loads_into_lora_model(tmp_path):
@@ -671,9 +728,9 @@ def test_pretrain_checkpoint_loads_into_lora_model(tmp_path):
 def test_unknown_checkpoint_tensor_rejected(tmp_path):
     samples, vocab = make_dataset(4)
     model = small_model(vocab)
-    ckpt = Checkpoint(tensors={"nonexistent": np.zeros(3, np.float32)}, moments={}, step=0, epoch=0, seed=0)
-    from hazardvlm.training import CheckpointError
-
+    ckpt = Checkpoint(
+        config=model.config, tensors={"nonexistent": np.zeros(3, np.float32)}, moments={}, step=0, epoch=0, seed=0
+    )
     with pytest.raises(CheckpointError):
         apply_checkpoint(model, ckpt)
 
