@@ -36,9 +36,10 @@ from .training import (
     Predictor,
     TrainConfig,
     TrainingDiverged,
-    apply_checkpoint,
+    apply_checkpoint,  # noqa: F401 (patched by the benchmark tracer)
     evaluate,
     load_checkpoint,
+    restore_model,
     train,
 )
 
@@ -211,7 +212,8 @@ def cmd_train(args) -> int:
             raise UsageError("--init-from <base checkpoint> is required for lora mode")
         # token ids must line up with the base embeddings, so the base
         # run's vocabulary is reused; unseen tokens map to <unk>
-        model, vocab = _restore_model(args.init_from, None, cfg.seed, lora_rank=cfg.lora_rank)
+        model, vocab = _restore_model(args.init_from, None, lora_rank=cfg.lora_rank)
+        model.enable_lora(seed=cfg.seed)
         # echo the model the run trains: the base's, with the run's rank
         for name in _FIELD_TYPES.keys() & {f.name for f in dataclasses.fields(ModelConfig)}:
             setattr(cfg, name, getattr(model.config, name))
@@ -244,10 +246,10 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _restore_model(checkpoint: str, vocab_file: str | None, seed: int, lora_rank: int | None = None):
+def _restore_model(checkpoint: str, vocab_file: str | None, lora_rank: int | None = None):
     """The model a checkpoint's config describes, holding the file's
     tensors, and the vocabulary its token ids index. ``lora_rank`` asks for
-    a base checkpoint and fresh adapters of that rank (a LoRA run)."""
+    a base checkpoint, for a LoRA run to adapt at that rank."""
     vocab_path = Path(vocab_file) if vocab_file else _vocab_path(checkpoint)
     if not vocab_path.exists():
         raise DataError(f"vocabulary file {vocab_path} not found")
@@ -258,27 +260,21 @@ def _restore_model(checkpoint: str, vocab_file: str | None, seed: int, lora_rank
         raise DataError(
             f"vocabulary {vocab_path} has {len(vocab)} tokens, {checkpoint} was built for {config.vocab_size}"
         )
-    adapted = any(name.startswith("lora.") for name in ckpt.tensors)
     if lora_rank is not None:
-        if adapted:
+        if any(name.startswith("lora.") for name in ckpt.tensors):
             raise DataError(f"{checkpoint} holds adapters; --init-from needs a base checkpoint")
         try:
             config = dataclasses.replace(config, lora_rank=lora_rank)
         except ValueError as exc:
             raise UsageError(f"bad config: lora_rank = {lora_rank} over {checkpoint}: {exc}") from exc
-    model = HazardModel(config, seed=seed)
-    if adapted or lora_rank is not None:
-        # adapters the file lacks keep their fresh initialization
-        model.enable_lora(seed=seed)
-    apply_checkpoint(model, ckpt)
-    return model, vocab
+    return restore_model(dataclasses.replace(ckpt, config=config)), vocab
 
 
 def cmd_eval(args) -> int:
     cfg = build_run_config(args)
     if cfg.max_samples < 0:
         raise UsageError(f"max_samples must be >= 0 (0: no cap), got {cfg.max_samples}")
-    model, vocab = _restore_model(args.checkpoint, args.vocab, cfg.seed)
+    model, vocab = _restore_model(args.checkpoint, args.vocab)
     samples = _load_samples(args.dataset, model.config)
     report = evaluate(model, samples, vocab, max_samples=cfg.max_samples or None)
     print(report.as_text(), end="")
@@ -296,7 +292,7 @@ def cmd_predict(args) -> int:
         check_sampling(top_p, cfg.temperature)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    model, vocab = _restore_model(args.checkpoint, args.vocab, cfg.seed)
+    model, vocab = _restore_model(args.checkpoint, args.vocab)
     try:
         image = load_image(args.image)
     except ValueError as exc:

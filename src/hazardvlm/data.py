@@ -60,7 +60,8 @@ def load_image(value, image_root: Path | None = None) -> np.ndarray:
     """A C x S x S float32 image from a .npy path or a nested array.
 
     Raises FileNotFoundError for a missing file and ValueError for an
-    unreadable, malformed, non-square, non-finite or out-of-[0, 1] image."""
+    unreadable, malformed, non-numeric (not bool, integer or floating),
+    non-square, non-finite or out-of-[0, 1] image."""
     if isinstance(value, str):
         path = Path(value)
         if image_root is not None and not path.is_absolute():
@@ -78,6 +79,8 @@ def load_image(value, image_root: Path | None = None) -> np.ndarray:
             raise ValueError(f"image array malformed: {exc}") from exc
     if arr.dtype == object:
         raise ValueError("image array malformed: ragged rows")
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"image array has dtype {arr.dtype}; expected bool, integer or floating")
     arr = arr.astype(np.float32)
     if arr.ndim == 2:
         arr = arr[None, :, :]

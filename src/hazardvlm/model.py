@@ -173,119 +173,142 @@ class DecodeCache:
         self.own = [None if pair is None else pick(pair) for pair in self.own]
 
 
+def parameter_specs(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Every base parameter's shape and initializer ("normal", "zeros" or
+    "ones"), by name, in the order the random init draws them. Nothing is
+    allocated, so the shapes of any valid config can be checked first."""
+    d, k = config.embed_dim, config.latent_dim
+    hidden = d * config.ffn_mult
+    specs: dict[str, tuple[tuple[int, ...], str]] = {}
+
+    def weight(name, *shape):
+        specs[name] = (shape, "normal")
+
+    def zeros(name, *shape):
+        specs[name] = (shape, "zeros")
+
+    def linear(name, d_in, d_out):
+        weight(f"{name}.w", d_in, d_out)
+        zeros(f"{name}.b", d_out)
+
+    def ln(prefix):
+        specs[f"{prefix}.g"] = ((d,), "ones")
+        zeros(f"{prefix}.b", d)
+
+    def attn(prefix, kv_dim):
+        for w, rows in (("q", d), ("k", kv_dim), ("v", kv_dim), ("o", d)):
+            weight(f"{prefix}.w{w}", rows, d)
+            zeros(f"{prefix}.b{w}", d)
+
+    def ffn(prefix):
+        weight(f"{prefix}.w1", d, hidden)
+        zeros(f"{prefix}.b1", hidden)
+        weight(f"{prefix}.w2", hidden, d)
+        zeros(f"{prefix}.b2", d)
+
+    def encoder_block(prefix):
+        ln(f"{prefix}.ln1")
+        attn(f"{prefix}.attn", d)
+        ln(f"{prefix}.ln2")
+        ffn(f"{prefix}.ffn")
+
+    linear("vis.patch_embed", config.patch_dim, d)
+    weight("vis.pos", config.n_patches, d)
+    for i in range(config.encoder_layers):
+        encoder_block(f"vis.{i}")
+
+    weight("txt.embed", config.vocab_size, d)
+    weight("txt.pos", config.max_caption_len, d)
+    for i in range(config.encoder_layers):
+        encoder_block(f"txt.{i}")
+
+    if config.projector == "linear":
+        linear("proj.img", d, k)
+        linear("proj.txt", d, k)
+    else:
+        for which in ("img", "txt"):
+            weight(f"proj.{which}.w1", d, d)
+            zeros(f"proj.{which}.b1", d)
+            weight(f"proj.{which}.w2", d, k)
+            zeros(f"proj.{which}.b2", k)
+
+    weight("dec.embed", config.vocab_size, d)
+    weight("dec.pos", config.max_caption_len, d)
+    for i in range(config.decoder_layers):
+        ln(f"dec.{i}.ln1")
+        attn(f"dec.{i}.self", d)
+        ln(f"dec.{i}.ln2")
+        attn(f"dec.{i}.cross", k)
+        ln(f"dec.{i}.ln3")
+        ffn(f"dec.{i}.ffn")
+    ln("dec.ln_f")
+    linear("dec.out", d, config.vocab_size)
+    return specs
+
+
+def adapter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Shapes of the adapter factors ``lora.<target>.a`` (d_in x r) and
+    ``.b`` (r x d_out), by name, in the order ``enable_lora`` adds them."""
+    specs = parameter_specs(config)
+    r = config.lora_rank
+    shapes = {}
+    for target in lora_target_names(config):
+        d_in, d_out = specs[target][0]
+        shapes[f"lora.{target}.a"] = (d_in, r)
+        shapes[f"lora.{target}.b"] = (r, d_out)
+    return shapes
+
+
 class HazardModel:
     """Parameters plus forward passes; single-threaded with its tape."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
+        rng = np.random.default_rng((seed, 0x5EED))
+        arrays = {}
+        for name, (shape, init) in parameter_specs(config).items():
+            if init == "normal":
+                arrays[name] = rng.normal(0.0, INIT_STD, size=shape).astype(np.float32)
+            else:
+                arrays[name] = (np.zeros if init == "zeros" else np.ones)(shape, np.float32)
+        self._hold(config, arrays)
+
+    @classmethod
+    def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "HazardModel":
+        """A model holding ``arrays``, drawing nothing: the base parameters
+        ``parameter_specs(config)`` declares and, for an adapted model,
+        every factor ``adapter_shapes(config)`` declares, with those shapes
+        (the caller checks them). The model takes the arrays, not copies."""
+        model = cls.__new__(cls)
+        model._hold(config, {name: arrays[name] for name in parameter_specs(config)})
+        if any(name.startswith("lora.") for name in arrays):
+            model._attach_adapters({name: arrays[name] for name in adapter_shapes(config)})
+        return model
+
+    def _hold(self, config: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
         self.config = config
-        self.params = ModelParams()
-        self.lora_enabled = False
-        self._rng = np.random.default_rng((seed, 0x5EED))
-        self._build()
+        self.params = ModelParams({n: Tensor(a, requires_grad=True) for n, a in arrays.items()})
         self.params.trainable = set(self.params.tensors)
-
-    # -- construction ------------------------------------------------------
-
-    def _weight(self, name: str, *shape: int) -> None:
-        data = self._rng.normal(0.0, INIT_STD, size=shape).astype(np.float32)
-        self.params.tensors[name] = Tensor(data, requires_grad=True)
-
-    def _zeros(self, name: str, *shape: int) -> None:
-        self.params.tensors[name] = Tensor(np.zeros(shape, np.float32), requires_grad=True)
-
-    def _ones(self, name: str, *shape: int) -> None:
-        self.params.tensors[name] = Tensor(np.ones(shape, np.float32), requires_grad=True)
-
-    def _linear(self, name: str, d_in: int, d_out: int) -> None:
-        self._weight(f"{name}.w", d_in, d_out)
-        self._zeros(f"{name}.b", d_out)
-
-    def _build(self) -> None:
-        cfg = self.config
-        d, k = cfg.embed_dim, cfg.latent_dim
-
-        self._linear("vis.patch_embed", cfg.patch_dim, d)
-        self._weight("vis.pos", cfg.n_patches, d)
-        for i in range(cfg.encoder_layers):
-            self._encoder_block_params(f"vis.{i}")
-
-        self._weight("txt.embed", cfg.vocab_size, d)
-        self._weight("txt.pos", cfg.max_caption_len, d)
-        for i in range(cfg.encoder_layers):
-            self._encoder_block_params(f"txt.{i}")
-
-        if cfg.projector == "linear":
-            self._linear("proj.img", d, k)
-            self._linear("proj.txt", d, k)
-        else:
-            for which in ("img", "txt"):
-                self._weight(f"proj.{which}.w1", d, d)
-                self._zeros(f"proj.{which}.b1", d)
-                self._weight(f"proj.{which}.w2", d, k)
-                self._zeros(f"proj.{which}.b2", k)
-
-        self._weight("dec.embed", cfg.vocab_size, d)
-        self._weight("dec.pos", cfg.max_caption_len, d)
-        for i in range(cfg.decoder_layers):
-            self._decoder_block_params(f"dec.{i}")
-        self._ones("dec.ln_f.g", d)
-        self._zeros("dec.ln_f.b", d)
-        self._linear("dec.out", d, cfg.vocab_size)
-
-    def _attn_params(self, prefix: str, kv_dim: int) -> None:
-        d = self.config.embed_dim
-        self._weight(f"{prefix}.wq", d, d)
-        self._zeros(f"{prefix}.bq", d)
-        self._weight(f"{prefix}.wk", kv_dim, d)
-        self._zeros(f"{prefix}.bk", d)
-        self._weight(f"{prefix}.wv", kv_dim, d)
-        self._zeros(f"{prefix}.bv", d)
-        self._weight(f"{prefix}.wo", d, d)
-        self._zeros(f"{prefix}.bo", d)
-
-    def _ffn_params(self, prefix: str) -> None:
-        d = self.config.embed_dim
-        hidden = d * self.config.ffn_mult
-        self._weight(f"{prefix}.w1", d, hidden)
-        self._zeros(f"{prefix}.b1", hidden)
-        self._weight(f"{prefix}.w2", hidden, d)
-        self._zeros(f"{prefix}.b2", d)
-
-    def _ln_params(self, prefix: str) -> None:
-        d = self.config.embed_dim
-        self._ones(f"{prefix}.g", d)
-        self._zeros(f"{prefix}.b", d)
-
-    def _encoder_block_params(self, prefix: str) -> None:
-        self._ln_params(f"{prefix}.ln1")
-        self._attn_params(f"{prefix}.attn", self.config.embed_dim)
-        self._ln_params(f"{prefix}.ln2")
-        self._ffn_params(f"{prefix}.ffn")
-
-    def _decoder_block_params(self, prefix: str) -> None:
-        cfg = self.config
-        self._ln_params(f"{prefix}.ln1")
-        self._attn_params(f"{prefix}.self", cfg.embed_dim)
-        self._ln_params(f"{prefix}.ln2")
-        self._attn_params(f"{prefix}.cross", cfg.latent_dim)
-        self._ln_params(f"{prefix}.ln3")
-        self._ffn_params(f"{prefix}.ffn")
+        self.lora_enabled = False
 
     # -- LoRA --------------------------------------------------------------
 
     def enable_lora(self, seed: int = 0) -> None:
-        """Attach fresh adapters, freeze the base, and mark the fine-tune
-        trainable set (adapter factors plus projector biases)."""
+        """Attach fresh adapters (``a`` drawn, ``b`` zero), freeze the base,
+        and mark the fine-tune trainable set (adapter factors plus projector
+        biases)."""
         if self.lora_enabled:
             raise RuntimeError("adapters already enabled")
-        cfg = self.config
         rng = np.random.default_rng((seed, 0x10BA))
-        r = cfg.lora_rank
-        for target in lora_target_names(cfg):
-            w = self.params.tensors[target]
-            d_in, d_out = w.shape
-            a = Tensor(rng.normal(0.0, INIT_STD, size=(d_in, r)).astype(np.float32), requires_grad=True)
-            b = Tensor(np.zeros((r, d_out), np.float32), requires_grad=True)
+        self._attach_adapters({
+            name: rng.normal(0.0, INIT_STD, size=shape).astype(np.float32)
+            if name.endswith(".a") else np.zeros(shape, np.float32)
+            for name, shape in adapter_shapes(self.config).items()
+        })
+
+    def _attach_adapters(self, arrays: dict[str, np.ndarray]) -> None:
+        for target in lora_target_names(self.config):
+            a = Tensor(arrays[f"lora.{target}.a"], requires_grad=True)
+            b = Tensor(arrays[f"lora.{target}.b"], requires_grad=True)
             self.params.adapters[target] = LoRAAdapter(a=a, b=b, target=target)
             self.params.tensors[f"lora.{target}.a"] = a
             self.params.tensors[f"lora.{target}.b"] = b
@@ -512,7 +535,9 @@ class HazardModel:
         decodes its B scenes together, one decoder step for all of them,
         and gives B lists: scene i draws from its own rng seeded ``seed``,
         so its ids are those of a call on ``fused[i]`` alone. A scene that
-        emits the end token leaves the batch and its cache rows."""
+        emits the end token leaves the batch and its cache rows. Each step's
+        logits must be finite (``check_finite``), also when the per-op
+        guard is off."""
         check_sampling(top_p, temperature)
         if max_len > self.config.max_caption_len:
             raise ValueError(f"max_len {max_len} exceeds max caption length")
@@ -527,14 +552,15 @@ class HazardModel:
         live = np.arange(scenes)
         tokens = np.full(scenes, START_ID).reshape(step_shape)
         for _ in range(max_len):
-            logits = self._decoder_states(fused, tokens, cache).data[..., -1, :].astype(np.float64)
-            drawn = []
-            for scene, row in zip(live, logits.reshape(len(live), -1)):
-                keep, probs = nucleus(row, top_p, temperature)
+            logits = self._decoder_states(fused, tokens, cache).data[..., -1, :]
+            check_finite(logits, "decoder logits")
+            keep, probs = nucleus(logits.reshape(len(live), -1).astype(np.float64), top_p, temperature)
+            if top_p == 0.0:
                 # top_p 0 keeps one token at every step, so the draw is that
                 # token and the scene's rng, which nothing else reads, is skipped
-                drawn.append(keep[0] if top_p == 0.0 else rngs[scene].choice(keep, p=probs))
-            drawn = np.array(drawn)
+                drawn = keep[:, 0]
+            else:
+                drawn = np.array([rngs[s].choice(k, p=q) for s, k, q in zip(live, keep, probs)])
             going = drawn != END_ID
             for scene, token in zip(live[going], drawn[going]):
                 out[scene].append(int(token))
@@ -554,20 +580,40 @@ def check_sampling(top_p: float, temperature: float) -> None:
         raise ValueError(f"temperature must be positive, got {temperature}")
 
 
-def nucleus(logits: np.ndarray, top_p: float, temperature: float) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest probability-sorted prefix with mass >= top_p, renormalized.
+def check_finite(values: np.ndarray, stage: str) -> None:
+    """NonFiniteError naming ``stage`` unless every one of ``values`` is
+    finite. Inference runs without the per-op guard and checks each
+    stage's output with this instead."""
+    if not np.isfinite(values).all():
+        raise tz.NonFiniteError(f"non-finite values in stage '{stage}'")
 
-    Returns (kept token indices, their probabilities). At least one token
-    is always kept, so top_p -> 0 degenerates to greedy argmax.
+
+def nucleus(logits: np.ndarray, top_p: float, temperature: float):
+    """Smallest probability-sorted prefix with mass >= top_p, renormalized,
+    of one row of V logits, or of each row of an R x V stack with one
+    softmax, one stable sort and one cumulative sum over all the rows.
+
+    Returns (kept token indices, their probabilities) for a row. For a
+    stack, each holds one entry per row: an R x c array when every row
+    keeps c tokens, as top_p 0 always gives, else a list of R arrays. At
+    least one token is always kept, so top_p -> 0 degenerates to greedy:
+    the first maximum of the probabilities, which can differ from the
+    first maximum of the logits when exp rounds two of them alike.
     """
-    z = logits / temperature
-    z = z - z.max()
+    rows = np.atleast_2d(logits)
+    z = rows / temperature
+    z = z - z.max(axis=1, keepdims=True)
     p = np.exp(z)
-    p /= p.sum()
-    order = np.argsort(-p, kind="stable")
-    csum = np.cumsum(p[order])
-    cut = int(np.searchsorted(csum, top_p, side="left")) + 1
-    cut = min(max(cut, 1), len(order))
-    keep = order[:cut]
-    kept = p[keep]
-    return keep, kept / kept.sum()
+    p /= p.sum(axis=1, keepdims=True)
+    order = np.argsort(-p, axis=1, kind="stable")
+    ranked = np.take_along_axis(p, order, axis=1)
+    # the cumulative sum never falls, so counting the entries below top_p
+    # finds its first entry >= top_p
+    cut = np.clip((np.cumsum(ranked, axis=1) < top_p).sum(axis=1) + 1, 1, p.shape[1])
+    if (cut == cut[0]).all():
+        keep, kept = order[:, : cut[0]], ranked[:, : cut[0]]
+        probs = kept / kept.sum(axis=1, keepdims=True)
+    else:
+        keep = [row[:c] for row, c in zip(order, cut)]
+        probs = [row[:c] / row[:c].sum() for row, c in zip(ranked, cut)]
+    return (keep[0], probs[0]) if logits.ndim == 1 else (keep, probs)

@@ -22,7 +22,7 @@ from . import tensor as tz
 from .data import AnnotatedSample, Vocabulary, detokenize, normalize, tokenize
 from .localization import PixelPoint, grid_to_pixel, hard_argmax, pixel_to_grid, soft_argmax
 from .metrics import MetricsReport, corpus_report
-from .model import HazardModel, ModelConfig
+from .model import HazardModel, ModelConfig, adapter_shapes, check_finite, parameter_specs
 from .objective import LossWeights, coord_loss, total_loss
 from .optim import AdamWState, FlatArrays, ScheduleConfig, adamw_step, clip_grad_norm, lr_at
 from .tensor import Tape, Tensor
@@ -290,15 +290,33 @@ class Predictor:
         return list(zip(*self._infer(images, top_p, temperature, seed)))
 
     def _infer(self, images, top_p, temperature, seed):
-        """(point, ids) of one image, or (points, ids lists) of a stack."""
+        """(point, ids) of one image, or (points, ids lists) of a stack.
+
+        Runs without the per-op NaN/Inf guard and checks each stage's
+        output instead: the encoder features and map, the fused latents and
+        each decode step's logits. When one is not finite, the same
+        inference runs again with the guard on, so the error names the op.
+        """
+        images = images if isinstance(images, Tensor) else Tensor(images)
+        try:
+            with tz.finite_checks(False):
+                return self._stages(images, top_p, temperature, seed)
+        except tz.NonFiniteError as stage_error:
+            with tz.finite_checks(True):
+                self._stages(images, top_p, temperature, seed)
+            raise stage_error
+
+    def _stages(self, images: Tensor, top_p, temperature, seed):
         model = self.model
         cfg = model.config
-        images = images if isinstance(images, Tensor) else Tensor(images)
         feats, amap = model.encode_image(images)
+        check_finite(feats.data, "encoder features")
+        check_finite(amap.grid.data, "attention map")
         # every scene shares the prompt; inference only, so no gradient to it
         lead = images.shape[:-3]
         prompt = Tensor(np.broadcast_to(self.prompt_latent.data, (*lead, *self.prompt_latent.shape)))
         fused = model.fuse(model.project(feats, "image"), prompt)
+        check_finite(fused.data, "fused latents")
         ids = model.generate(
             fused, max_len=cfg.max_caption_len, top_p=top_p, temperature=temperature, seed=seed
         )
@@ -505,6 +523,27 @@ def apply_checkpoint(model: HazardModel, ckpt: Checkpoint) -> None:
                 f"shape mismatch for '{name}': file {arr.shape}, model {t.data.shape}"
             )
         t.data = arr.astype(np.float32).copy()
+
+
+def restore_model(ckpt: Checkpoint) -> HazardModel:
+    """The model ``ckpt.config`` describes, holding the checkpoint's arrays
+    themselves, with no random init. The file must hold every base
+    parameter and either every adapter factor or none, each with the shape
+    the config declares; CheckpointError otherwise, raised before any
+    parameter is built, so a stored config too large to allocate fails
+    here."""
+    expected = {name: shape for name, (shape, _) in parameter_specs(ckpt.config).items()}
+    if any(name.startswith("lora.") for name in ckpt.tensors):
+        expected |= adapter_shapes(ckpt.config)
+    for name, arr in ckpt.tensors.items():
+        if name not in expected:
+            raise CheckpointError(f"checkpoint tensor '{name}' not present in model")
+        if arr.shape != expected[name]:
+            raise CheckpointError(f"shape mismatch for '{name}': file {arr.shape}, model {expected[name]}")
+    missing = [name for name in expected if name not in ckpt.tensors]
+    if missing:
+        raise CheckpointError(f"checkpoint lacks {len(missing)} tensor(s) of its model, first '{missing[0]}'")
+    return HazardModel.from_arrays(ckpt.config, ckpt.tensors)
 
 
 def restore_optimizer_state(ckpt: Checkpoint, cfg: TrainConfig) -> AdamWState:

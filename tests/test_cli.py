@@ -474,6 +474,72 @@ def test_overflowing_checkpoint_is_data_error(tmp_path, conf, trained, capsys, c
     assert captured.out == ""
 
 
+def _resealed(ckpt, blob: bytearray, tmp_path):
+    """``blob`` as a checkpoint with a matching checksum, beside ckpt's
+    vocabulary."""
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(sealed_checkpoint(bytes(blob)))
+    (tmp_path / "bad.ckpt.vocab").write_bytes(ckpt.with_name(ckpt.name + ".vocab").read_bytes())
+    return bad
+
+
+def _eval_or_predict(command, data, tmp_path):
+    if command == "eval":
+        return ["eval", "--dataset", str(data)]
+    image = tmp_path / "gray.npy"
+    np.save(image, np.full((1, 16, 16), 0.5, np.float32))
+    return ["predict", "--image", str(image), "--greedy"]
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_checkpoint_overflowing_only_at_decode_is_data_error(tmp_path, conf, trained, capsys, command):
+    # inference checks stage outputs with the per-op guard off; this file
+    # passes the encoder stages and fails at the first decode step, and the
+    # guarded re-run still names the op
+    data, ckpt = trained
+    blob = bytearray(ckpt.read_bytes()[CHECKPOINT_HEADER:])
+    name = b"dec.out.w"
+    at = blob.index(name) + len(name)
+    (rank,) = struct.unpack_from("<I", blob, at)
+    dims = struct.unpack_from(f"<{rank}Q", blob, at + 4)
+    start = at + 4 + 8 * rank
+    blob[start : start + 4 * math.prod(dims)] = np.full(dims, 3e38, "<f4").tobytes()
+    bad = _resealed(ckpt, blob, tmp_path)
+    argv = _eval_or_predict(command, data, tmp_path)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+        rc = main([*argv, "--config", conf, "--checkpoint", str(bad)])
+    assert rc == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error: checkpoint weights overflow: ")
+    assert "non-finite values produced by op 'matmul'" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "train"])
+def test_checkpoint_with_a_huge_stored_config_is_data_error(tmp_path, conf, trained, capsys, command):
+    # a valid checksum over a config whose parameters would not fit in memory:
+    # the file's tensors are checked against the declared shapes first
+    data, ckpt = trained
+    blob = ckpt.read_bytes()[CHECKPOINT_HEADER:]
+    (size,) = struct.unpack_from("<I", blob)
+    config = json.loads(blob[4 : 4 + size])
+    config["max_caption_len"] = 10**13
+    raw = json.dumps(config, sort_keys=True).encode("utf-8")
+    bad = _resealed(ckpt, bytearray(struct.pack("<I", len(raw)) + raw + blob[4 + size :]), tmp_path)
+    if command == "train":
+        argv = ["train", "--dataset", str(data), "--out", str(tmp_path / "lora.ckpt"),
+                "--mode", "lora", "--init-from", str(bad)]
+    else:
+        argv = [*_eval_or_predict(command, data, tmp_path), "--checkpoint", str(bad)]
+    capsys.readouterr()
+    rc = main([*argv, "--config", conf])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "shape mismatch for 'txt.pos'" in err
+
+
 @pytest.mark.parametrize(
     "command, line",
     [

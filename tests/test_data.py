@@ -15,6 +15,7 @@ from hazardvlm.data import (
     build_vocab,
     detokenize,
     load_dataset,
+    load_image,
     parse_caption_coords,
     patch_center,
     save_dataset,
@@ -88,6 +89,33 @@ def test_unreadable_image_file_rejected(tmp_path):
     write_jsonl(p, [rec])
     _, errors = load_dataset(p)
     assert errors and errors[0].category == "image"
+
+
+NON_NUMERIC_IMAGES = {
+    "structured": np.zeros((1, 32, 32), dtype=[("a", "f4"), ("b", "i4")]),
+    "datetime64": np.zeros((1, 32, 32), dtype="datetime64[s]"),
+    "complex": np.full((1, 32, 32), 0.5 + 0.5j, np.complex64),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_NUMERIC_IMAGES))
+def test_non_numeric_image_file_rejected(tmp_path, kind):
+    np.save(tmp_path / "img.npy", NON_NUMERIC_IMAGES[kind])
+    with pytest.raises(ValueError, match="expected bool, integer or floating"):
+        load_image(str(tmp_path / "img.npy"))
+    rec = valid_record()
+    rec["image"] = "img.npy"
+    p = tmp_path / "d.jsonl"
+    write_jsonl(p, [rec])
+    _, errors = load_dataset(p)
+    assert errors and errors[0].category == "image"
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64, np.float16, np.float64])
+def test_numeric_image_file_loads_as_float32(tmp_path, dtype):
+    np.save(tmp_path / "img.npy", np.eye(4, dtype=dtype)[None])
+    image = load_image(str(tmp_path / "img.npy"))
+    assert image.dtype == np.float32 and image.tolist() == np.eye(4)[None].tolist()
 
 
 def test_image_file_reference_loads(tmp_path):

@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hazardvlm import tensor as tz
 from hazardvlm.data import SynthConfig, build_vocab, synth_generate, tokenize
@@ -471,6 +472,57 @@ def test_nucleus_top_p_one_keeps_everything():
     logits = np.array([0.5, 0.25, 0.25])
     keep, _ = nucleus(logits, top_p=1.0, temperature=1.0)
     assert len(keep) == 3
+
+
+def reference_nucleus(logits, top_p, temperature):
+    """nucleus as it was written for one row at a time: the oracle the
+    row-wise version must match bit for bit."""
+    z = logits / temperature
+    z = z - z.max()
+    p = np.exp(z)
+    p /= p.sum()
+    order = np.argsort(-p, kind="stable")
+    csum = np.cumsum(p[order])
+    cut = int(np.searchsorted(csum, top_p, side="left")) + 1
+    cut = min(max(cut, 1), len(order))
+    keep = order[:cut]
+    kept = p[keep]
+    return keep, kept / kept.sum()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 19),
+    vocab=st.integers(1, 69),
+    spread=st.sampled_from([0.05, 1.0, 8.0]),
+    ties=st.booleans(),
+    top_p=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    temperature=st.sampled_from([0.5, 0.95, 1.0]),
+)
+def test_rowwise_nucleus_matches_one_row_at_a_time(seed, rows, vocab, spread, ties, top_p, temperature):
+    logits = np.random.default_rng(seed).normal(0.0, spread, (rows, vocab))
+    if ties:
+        logits = np.round(logits, 0 if spread > 1 else 1)
+    keep, probs = nucleus(logits, top_p, temperature)
+    assert len(keep) == len(probs) == rows
+    for row, kept, p in zip(logits, keep, probs):
+        want_keep, want_p = reference_nucleus(row, top_p, temperature)
+        one_keep, one_p = nucleus(row, top_p, temperature)
+        for got_keep, got_p in ((kept, p), (one_keep, one_p)):
+            assert got_keep.tolist() == want_keep.tolist()
+            assert got_p.dtype == want_p.dtype and got_p.tobytes() == want_p.tobytes()
+
+
+def test_nucleus_greedy_takes_the_first_maximum_of_the_probabilities():
+    # exp rounds the gap of 1e-17 away: both tokens get the same p, so greedy
+    # takes token 0 although token 1 has the larger logit
+    logits = np.array([0.0, 1e-17])
+    assert logits.argmax() == 1
+    keep, probs = nucleus(logits, top_p=0.0, temperature=1.0)
+    assert keep.tolist() == [0] and probs.tolist() == [1.0]
+    keep, _ = nucleus(np.stack([logits, logits[::-1]]), top_p=0.0, temperature=1.0)
+    assert keep[:, 0].tolist() == [0, 0]
 
 
 def test_generate_seeded_determinism(tiny_model):

@@ -1,7 +1,9 @@
 import contextlib
 import math
 import os
+import re
 import struct
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -41,6 +43,7 @@ from hazardvlm.training import (
     apply_checkpoint,
     evaluate,
     load_checkpoint,
+    restore_model,
     restore_optimizer_state,
     sample_losses,
     save_checkpoint,
@@ -364,7 +367,8 @@ class _EchoModel:
             gx = int(sample.hazard.x) // self.config.patch_size
             gy = int(sample.hazard.y) // self.config.patch_size
             grid[gy, gx] = 1.0
-        return None, AttentionMap(Tensor(grids))
+        # inference checks that each stage's output is finite
+        return Tensor(np.zeros((len(self._batch), 1, 1), np.float32)), AttentionMap(Tensor(grids))
 
     def encode_text(self, tokens):
         from hazardvlm.tensor import Tensor
@@ -375,7 +379,7 @@ class _EchoModel:
         return features
 
     def fuse(self, e_img, e_text):
-        return None
+        return e_img
 
     def generate(self, fused, max_len, top_p, temperature, seed):
         from hazardvlm.data import tokenize
@@ -517,6 +521,111 @@ def test_predictor_batch_matches_single_image_calls(top_p, seed):
     images = np.stack([s.image for s in samples])
     singles = [predict(Tensor(image), top_p=top_p, temperature=0.95, seed=seed) for image in images]
     assert predict.batch(Tensor(images), top_p=top_p, temperature=0.95, seed=seed) == singles
+
+
+def _decode_overflows(vocab):
+    """A model whose weights overflow only in the decoder's output layer."""
+    model = small_model(vocab)
+    model.params.tensors["dec.out.w"].data[:] = 3e38
+    return model
+
+
+def test_inference_failing_a_stage_check_reruns_guarded_to_name_the_op():
+    samples, vocab = make_dataset(3)
+    predict = Predictor(_decode_overflows(vocab), tokenize(HAZARD_PROMPT, vocab))
+    images = Tensor(np.stack([s.image for s in samples]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+        with pytest.raises(tz.NonFiniteError, match="produced by op 'matmul'") as caught:
+            predict.batch(images)
+        # the per-op guard is on again
+        with pytest.raises(tz.NonFiniteError, match="op 'scale'"):
+            tz.scale(Tensor(np.full(2, 3e38, np.float32)), 10.0)
+    # the unguarded run got through the encoders and stopped at the first
+    # decode step's logits
+    assert str(caught.value.__context__) == "non-finite values in stage 'decoder logits'"
+
+
+def test_inference_names_the_stage_when_the_guarded_rerun_passes(monkeypatch):
+    samples, vocab = make_dataset(2)
+    predict = Predictor(small_model(vocab), tokenize(HAZARD_PROMPT, vocab))
+    generate, calls = predict.model.generate, []
+
+    def fails_once(*args, **kwargs):
+        calls.append(tz._FINITE_CHECKS)
+        if len(calls) == 1:
+            raise tz.NonFiniteError("non-finite values in stage 'decoder logits'")
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(predict.model, "generate", fails_once)
+    with pytest.raises(tz.NonFiniteError, match="stage 'decoder logits'"):
+        predict(Tensor(samples[0].image))
+    assert calls == [False, True]
+
+
+def test_batched_greedy_inference_checks_once_per_stage_and_decode_step(monkeypatch):
+    samples, vocab = make_dataset(8)
+    predict = Predictor(_ragged_model(vocab), tokenize(HAZARD_PROMPT, vocab))
+    images = Tensor(np.stack([s.image for s in samples]))
+    decoder_states, steps = predict.model._decoder_states, []
+
+    def counted_step(*args):
+        steps.append(1)
+        return decoder_states(*args)
+
+    isfinite, checks = np.isfinite, []
+
+    def counted_isfinite(*args, **kwargs):
+        checks.append(1)
+        return isfinite(*args, **kwargs)
+
+    monkeypatch.setattr(predict.model, "_decoder_states", counted_step)
+    monkeypatch.setattr(np, "isfinite", counted_isfinite)
+    predict.batch(images)
+    # encoder features, attention map and fused latents, then one per step
+    assert steps and len(checks) <= 3 + len(steps)
+
+
+@pytest.mark.parametrize("lora", [False, True])
+def test_restore_model_builds_the_saved_model_without_a_random_init(tmp_path, monkeypatch, lora):
+    samples, vocab = make_dataset(4)
+    saved = _lora_model(vocab) if lora else small_model(vocab, seed=3)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(saved, None, path, step=0, epoch=0, seed=0)
+    ckpt = load_checkpoint(path)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("restore_model drew a random init")
+
+    monkeypatch.setattr(HazardModel, "__init__", no_draw)
+    monkeypatch.setattr(HazardModel, "enable_lora", no_draw)
+    restored = restore_model(ckpt)
+    assert restored.config == saved.config and restored.lora_enabled == lora
+    assert list(restored.params.tensors) == list(saved.params.tensors)
+    for name, t in saved.params.tensors.items():
+        assert restored.params.tensors[name].data.tobytes() == t.data.tobytes()
+        assert restored.params.tensors[name].requires_grad == t.requires_grad
+    assert restored.params.trainable == saved.params.trainable
+    assert set(restored.params.adapters) == set(saved.params.adapters)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda t: t.pop("dec.out.b"), "lacks 1 tensor(s) of its model, first 'dec.out.b'"),
+        (lambda t: t.update({"txt.pos": np.zeros((3, 16), np.float32)}), "shape mismatch for 'txt.pos'"),
+        (lambda t: t.update({"extra": np.zeros(3, np.float32)}), "'extra' not present"),
+        (lambda t: t.pop("lora.dec.0.self.wq.b"), "first 'lora.dec.0.self.wq.b'"),
+    ],
+)
+def test_restore_model_needs_exactly_the_declared_tensors(tmp_path, edit, message):
+    samples, vocab = make_dataset(4)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_lora_model(vocab), None, path, step=0, epoch=0, seed=0)
+    ckpt = load_checkpoint(path)
+    edit(ckpt.tensors)
+    with pytest.raises(CheckpointError, match=re.escape(message)):
+        restore_model(ckpt)
 
 
 def test_evaluate_leaves_lora_training_intact():
