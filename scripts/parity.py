@@ -11,6 +11,8 @@ sources of the checkout this script sits in:
 - a pretrain, then a LoRA ``train`` over it;
 - a second pretrain with ``--grad-accum-steps 3``: 32 training scenes
   make each epoch end in a partial group of 2 micro-batches;
+- a third pretrain with ``batch_size = 2`` from a ``--config`` file, so
+  each micro-batch's loss sums two scenes;
 - ``eval`` of both checkpoints, in full and with ``--max-samples 7``;
 - ``predict`` of 4 images with both checkpoints, each ``--greedy``, with
   the default nucleus sampling and with ``--seed 7``.
@@ -40,6 +42,7 @@ from hazardvlm.data import load_dataset  # noqa: E402
 
 PRETRAIN = ["--epochs", "3", "--base-lr", "3e-3", "--grad-accum-steps", "1"]
 PRETRAIN_ACCUM3 = ["--epochs", "3", "--base-lr", "3e-3", "--grad-accum-steps", "3"]
+PRETRAIN_BATCH2 = ["--config", "batch2.conf", *PRETRAIN]
 PREDICT_MODES = {"greedy": ["--greedy"], "nucleus": [], "seed7": ["--seed", "7"]}
 N_IMAGES = 4
 
@@ -72,6 +75,9 @@ def main() -> int:
     run("02-pretrain", ["train", "--dataset", "scenes.jsonl", "--out", "base.ckpt", *PRETRAIN])
     run("02-pretrain-accum3", ["train", "--dataset", "scenes.jsonl", "--out", "base-accum3.ckpt",
                                *PRETRAIN_ACCUM3])
+    Path("batch2.conf").write_text("batch_size = 2\n", encoding="utf-8")
+    run("02-pretrain-batch2", ["train", "--dataset", "scenes.jsonl", "--out", "base-batch2.ckpt",
+                               *PRETRAIN_BATCH2])
     run("03-lora", ["train", "--dataset", "scenes.jsonl", "--out", "lora.ckpt",
                     "--mode", "lora", "--init-from", "base.ckpt"])
     for ckpt in ("base", "lora"):

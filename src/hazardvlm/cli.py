@@ -207,6 +207,12 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = build_run_config(args)
+    log_path = args.log or str(Path(args.out).with_suffix(".csv"))
+    # checked before any work: the log opens at step 0, the checkpoint and
+    # vocabulary are written only after the whole run
+    for what, path in (("--out", args.out), ("log", log_path), ("vocabulary", _vocab_path(args.out))):
+        if Path(path).is_dir():
+            raise UsageError(f"{what} path {path} is a directory")
     if cfg.mode == "lora":
         if not args.init_from:
             raise UsageError("--init-from <base checkpoint> is required for lora mode")
@@ -232,7 +238,6 @@ def cmd_train(args) -> int:
             f"(first at sample {overlong[0]})"
         )
 
-    log_path = args.log or str(Path(args.out).with_suffix(".csv"))
     train_cfg = config_for(TrainConfig, cfg, checkpoint_path=args.out, log_path=log_path)
 
     print(cfg.as_text())

@@ -22,8 +22,9 @@ import numpy as np
 
 DEFAULT_DTYPE = np.float32
 
-# NaN/Inf guard at op outputs; tests and training leave it on, hot inner
-# loops may disable it via `finite_checks(False)`.
+# NaN/Inf guard at op outputs, on by default. Training and inference turn
+# it off (`finite_checks(False)`) and check their losses or stage outputs
+# instead, rerunning with it on to name the op when a check fails.
 _FINITE_CHECKS = True
 
 _TAPE_STACK: list["Tape"] = []
@@ -53,14 +54,6 @@ class finite_checks:
         global _FINITE_CHECKS
         _FINITE_CHECKS = self.prev
         return False
-
-
-def _guard(arr: np.ndarray, op: str) -> np.ndarray:
-    # the ndarray method, not np.all: this runs once per op, and np.all's
-    # Python dispatch costs more than the check on small arrays
-    if _FINITE_CHECKS and not np.isfinite(arr).all():
-        raise NonFiniteError(f"non-finite values produced by op '{op}'")
-    return arr
 
 
 class Tensor:
@@ -155,17 +148,24 @@ class Tape:
         backward(self, root)
 
 
-def _active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
 def _record(op: str, parents: tuple[Tensor, ...], out_data: np.ndarray, backward_fn) -> Tensor:
-    _guard(out_data, op)
-    requires = any(p.requires_grad for p in parents)
-    out = Tensor(out_data, requires_grad=requires)
-    tape = _active_tape()
-    if requires and tape is not None:
-        tape.nodes.append(TapeNode(op, parents, out, backward_fn))
+    # runs once per op, so it does without Python-level dispatch: the
+    # ndarray method, not np.all, and no Tensor.__init__, whose dtype
+    # normalization float operands never need (a numpy scalar result
+    # still becomes a 0-d array)
+    if _FINITE_CHECKS and not np.isfinite(out_data).all():
+        raise NonFiniteError(f"non-finite values produced by op '{op}'")
+    requires = False
+    for p in parents:
+        if p.requires_grad:
+            requires = True
+            break
+    out = Tensor.__new__(Tensor)
+    out.data = out_data if type(out_data) is np.ndarray else np.asarray(out_data)
+    out.requires_grad = requires
+    out.grad = None
+    if requires and _TAPE_STACK:
+        _TAPE_STACK[-1].nodes.append(TapeNode(op, parents, out, backward_fn))
     return out
 
 
@@ -464,16 +464,18 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (x.data - mu) * inv
-    out = y * gain.data + bias.data
     d = x.shape[-1]
+    # the sums and divisions np.mean and np.var run, without their dispatch
+    mu = x.data.sum(axis=-1, keepdims=True) / d
+    c = x.data - mu
+    var = (c * c).sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    y = c * inv
+    out = y * gain.data + bias.data
 
     def bwd(g):
         gy = g * gain.data
-        dx = inv * (gy - gy.mean(axis=-1, keepdims=True) - y * (gy * y).mean(axis=-1, keepdims=True))
+        dx = inv * (gy - gy.sum(axis=-1, keepdims=True) / d - y * ((gy * y).sum(axis=-1, keepdims=True) / d))
         ggain = (g * y).reshape(-1, d).sum(axis=0)
         gbias = g.reshape(-1, d).sum(axis=0)
         return dx, ggain, gbias

@@ -10,7 +10,7 @@ import pytest
 from conftest import CHECKPOINT_HEADER, sealed_checkpoint
 from hazardvlm.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, RunConfig, main
 from hazardvlm.data import load_dataset
-from hazardvlm.training import load_checkpoint
+from hazardvlm.training import load_checkpoint, restore_model, save_checkpoint
 
 FAST_TRAIN = [
     "--epochs", "1",
@@ -267,6 +267,47 @@ def test_non_finite_value_in_training_exits_diverged(tmp_path, conf, capsys):
         rc = main([*argv, "--base-lr", "1e30", "--grad-accum-steps", "1"])
     assert rc == EXIT_DIVERGED
     assert "divergence: non-finite values produced by op '" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), 3e38], ids=["nan", "overflow"])
+def test_non_finite_base_weight_in_lora_training_exits_diverged(tmp_path, conf, trained, capsys, value):
+    data, ckpt = trained
+    model = restore_model(load_checkpoint(ckpt))
+    model.params.tensors["dec.out.w"].data[...] = value
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(model, None, bad, step=0, epoch=0, seed=0)
+    (tmp_path / "bad.ckpt.vocab").write_bytes((tmp_path / "model.ckpt.vocab").read_bytes())
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+        rc = main(["train", "--dataset", str(data), "--out", str(tmp_path / "x.ckpt"),
+                   "--mode", "lora", "--init-from", str(bad), *FAST_TRAIN])
+    assert rc == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert err == "divergence: non-finite values produced by op 'matmul' at optimizer step 0\n"
+
+
+@pytest.mark.parametrize(
+    "what, folder, flags",
+    [
+        ("--out", "folder", ["--out", "folder"]),
+        ("log", "folder", ["--out", "x.ckpt", "--log", "folder"]),
+        ("log", "x.csv", ["--out", "x.ckpt"]),  # the default log, beside the checkpoint
+        ("vocabulary", "x.ckpt.vocab", ["--out", "x.ckpt"]),
+    ],
+)
+def test_train_output_path_naming_a_directory_is_usage_error(tmp_path, conf, capsys, monkeypatch, what, folder, flags):
+    data = synth(tmp_path, conf)
+    (tmp_path / folder).mkdir()
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    rc = main(["train", "--config", conf, "--dataset", str(data), *flags, *FAST_TRAIN])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {what} path {folder} is a directory\n"
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_overlong_caption_is_data_error(tmp_path, conf):

@@ -279,6 +279,41 @@ def test_matmul_identity_bit_exact(n, m, seed):
     assert np.array_equal(out.data, a.data)
 
 
+def _layer_norm_by_mean_and_var(x, gain, bias, g, eps=1e-5):
+    """layer_norm's output and gradients (x, gain, bias) for an upstream
+    gradient g, written with np.mean and np.var."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    y = (x - mu) * inv
+    d = x.shape[-1]
+    gy = g * gain
+    dx = inv * (gy - gy.mean(axis=-1, keepdims=True) - y * (gy * y).mean(axis=-1, keepdims=True))
+    return y * gain + bias, dx, (g * y).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
+
+
+@given(
+    st.sampled_from([np.float32, np.float64]),
+    st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    st.integers(1, 40),
+    st.integers(-3, 3),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_layer_norm_bits_match_mean_and_var(dtype, lead, width, magnitude, seed):
+    # ranks 2-4: a sequence, a batch of sequences, a batch of heads
+    rng = np.random.default_rng(seed)
+    shape = (*lead, width)
+    x = (rng.standard_normal(shape) * 10.0**magnitude + rng.standard_normal()).astype(dtype)
+    gain, bias = rng.standard_normal((2, width)).astype(dtype)
+    g = rng.standard_normal(shape).astype(dtype)
+    with Tape() as tape:
+        out = T.layer_norm(Tensor(x, requires_grad=True), Tensor(gain), Tensor(bias))
+    got = (out.data, *tape.nodes[-1].backward_fn(g))
+    for name, a, b in zip(("out", "dx", "dgain", "dbias"), got, _layer_norm_by_mean_and_var(x, gain, bias, g)):
+        assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes(), name
+
+
 def test_non_finite_guard():
     big = Tensor([[1e38, 1e38]])
     with np.errstate(over="ignore"):
@@ -292,3 +327,11 @@ def test_non_finite_guard():
 def test_default_dtype_is_float32():
     assert Tensor([1.0, 2.0]).dtype == np.float32
     assert T.add(Tensor([1.0]), Tensor([2.0])).dtype == np.float32
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scalar_op_results_are_0d_arrays(dtype):
+    # numpy returns a scalar, not an array, for arithmetic on 0-d arrays
+    x = Tensor(np.array(2.0, dtype), requires_grad=True)
+    for out in (T.scale(x, 3.0), T.add(x, x), T.mul(x, x), T.shift(x, 1.0)):
+        assert type(out.data) is np.ndarray and out.shape == () and out.dtype == dtype

@@ -250,6 +250,90 @@ def test_non_finite_op_during_training_is_divergence():
     assert all(t.grad is None for t in model.params.tensors.values())
 
 
+NAN = float("nan")
+
+
+def _poisoned(vocab, mode, names, value):
+    """A small model, with adapters in LoRA mode, whose tensors ``names``
+    hold ``value`` in every entry."""
+    model = small_model(vocab)
+    if mode == "lora":
+        model.enable_lora(seed=1)
+    for name in names:
+        model.params.tensors[name].data[...] = value
+    return model
+
+
+# (mode, tensors set, value, the op the per-op guard names); the forward
+# runs unguarded, so each of these fails its loss check and is run again
+# guarded. An adapter is both of its factors: b starts at zero.
+POISONED = [
+    ("pretrain", ["vis.0.attn.wq"], NAN, "matmul"),
+    ("pretrain", ["vis.0.attn.wq"], 3e38, "matmul"),
+    ("pretrain", ["vis.patch_embed.b"], NAN, "add"),
+    ("pretrain", ["txt.0.ln1.g"], NAN, "layer_norm"),
+    ("pretrain", ["txt.0.ln1.g"], 3e38, "layer_norm"),
+    ("pretrain", ["proj.img.w"], NAN, "matmul"),
+    ("pretrain", ["proj.txt.b"], NAN, "add"),
+    ("pretrain", ["dec.pos"], NAN, "slice_axis"),
+    ("pretrain", ["dec.out.w"], 3e38, "matmul"),
+    ("lora", ["dec.ln_f.b"], 3e38, "cross_entropy"),
+    ("lora", ["dec.embed"], NAN, "take_rows"),
+    ("lora", ["txt.embed"], 3e38, "layer_norm"),
+    ("lora", ["lora.vis.0.attn.wq.a", "lora.vis.0.attn.wq.b"], NAN, "matmul"),
+    ("lora", ["lora.proj.img.w.a", "lora.proj.img.w.b"], 3e38, "matmul"),
+    ("lora", ["lora.dec.0.ffn.w2.a", "lora.dec.0.ffn.w2.b"], 3e38, "matmul"),
+]
+
+
+@pytest.mark.parametrize("mode, names, value, op", POISONED)
+def test_poisoned_weight_divergence_names_the_op(mode, names, value, op):
+    samples, vocab = make_dataset(4)
+    model = _poisoned(vocab, mode, names, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+        with pytest.raises(TrainingDiverged) as caught:
+            train(model, samples, samples[:1], vocab, quick_cfg(mode=mode, grad_accum_steps=1))
+        # the per-op guard is on again
+        with pytest.raises(tz.NonFiniteError):
+            tz.scale(Tensor(np.full(2, 3e38, np.float32)), 10.0)
+    assert str(caught.value) == f"non-finite values produced by op '{op}' at optimizer step 0"
+    assert all(t.grad is None for t in model.params.tensors.values())
+
+
+def test_overflowing_projector_weight_is_absorbed_in_training():
+    # the untrained image features are small, so a projector weight of
+    # 3e38 overflows no op's output. The huge latents enter the decoder's
+    # residual stream, where each layer norm's variance overflows to inf
+    # and the norm outputs its bias: the loss stays finite, guarded or not
+    samples, vocab = make_dataset(4)
+    model = _poisoned(vocab, "pretrain", ["proj.img.w"], 3e38)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = train(model, samples, samples[:1], vocab, quick_cfg(grad_accum_steps=1))
+    assert len(res.logs) == 4 and all(math.isfinite(entry.loss) for entry in res.logs)
+
+
+def test_non_finite_loss_the_guarded_rerun_passes_names_the_step(monkeypatch):
+    samples, vocab = make_dataset(4)
+    model = small_model(vocab)
+    calls = []
+
+    def nan_once(*args):
+        calls.append(tz._FINITE_CHECKS)
+        out = _batch_breakdown(*args)
+        if len(calls) == 1:
+            out.total = Tensor(np.float32("nan"))
+        return out
+
+    monkeypatch.setattr("hazardvlm.training._batch_breakdown", nan_once)
+    with pytest.raises(TrainingDiverged, match=r"^non-finite loss at epoch 0, step 0$"):
+        train(model, samples, samples[:1], vocab, quick_cfg(grad_accum_steps=1))
+    # the forward ran unguarded, the rerun guarded
+    assert calls == [False, True]
+    assert all(t.grad is None for t in model.params.tensors.values())
+
+
 def test_one_step_per_sample_when_accum_is_one():
     samples, vocab = make_dataset(6)
     model = small_model(vocab)
