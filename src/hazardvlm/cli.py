@@ -213,6 +213,8 @@ def cmd_train(args) -> int:
     for what, path in (("--out", args.out), ("log", log_path), ("vocabulary", _vocab_path(args.out))):
         if Path(path).is_dir():
             raise UsageError(f"{what} path {path} is a directory")
+        if not Path(path).parent.is_dir():
+            raise UsageError(f"{what} path {path} is not in an existing directory")
     if cfg.mode == "lora":
         if not args.init_from:
             raise UsageError("--init-from <base checkpoint> is required for lora mode")

@@ -49,14 +49,9 @@ def _ngrams(tokens: Tokens, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def _clipped_overlap(cand: Counter, refs: Sequence[Counter]) -> int:
-    # multi-reference clipping: candidate counts capped by the max count
-    # over references
-    total = 0
-    for gram, count in cand.items():
-        cap = max((ref[gram] for ref in refs), default=0)
-        total += min(count, cap)
-    return total
+def _overlap(cand: Counter, ref: Counter) -> int:
+    # counts are positive, so the intersection holds min(cand, ref) per gram
+    return sum((cand & ref).values())
 
 
 def bleu4(candidate: Tokens, reference: Tokens | Sequence[Tokens], smooth: bool = True) -> float:
@@ -66,11 +61,28 @@ def bleu4(candidate: Tokens, reference: Tokens | Sequence[Tokens], smooth: bool 
         raise ValueError("bleu4 requires a non-empty reference")
     if len(candidate) == 0:
         return 0.0
-    log_sum = 0.0
+    cand_grams = [_ngrams(candidate, n) for n in range(1, 5)]
+    # multi-reference clipping: a candidate count is capped by the max count
+    # over references, which is the count in their union
+    ref_grams = []
     for n in range(1, 5):
-        cand_grams = _ngrams(candidate, n)
-        total = sum(cand_grams.values())
-        overlap = _clipped_overlap(cand_grams, [_ngrams(r, n) for r in refs])
+        union = Counter()
+        for r in refs:
+            union |= _ngrams(r, n)
+        ref_grams.append(union)
+    return _bleu4_counts(cand_grams, ref_grams, len(candidate), [len(r) for r in refs], smooth)
+
+
+def _bleu4_counts(
+    cand_grams: Sequence[Counter], ref_grams: Sequence[Counter], cand_len: int, ref_lens: Sequence[int],
+    smooth: bool = True,
+) -> float:
+    """BLEU-4 of a non-empty candidate from its 1..4-gram counts and the
+    (union of the) references' counts."""
+    log_sum = 0.0
+    for n, (cand, ref) in enumerate(zip(cand_grams, ref_grams), start=1):
+        total = max(cand_len - n + 1, 0)
+        overlap = _overlap(cand, ref)
         if overlap > 0:
             p = overlap / total
         elif smooth:
@@ -79,8 +91,8 @@ def bleu4(candidate: Tokens, reference: Tokens | Sequence[Tokens], smooth: bool 
             return 0.0
         log_sum += math.log(p)
     # closest reference length, ties to the shorter
-    ref_len = min((abs(len(r) - len(candidate)), len(r)) for r in refs)[1]
-    bp = min(1.0, math.exp(1.0 - ref_len / len(candidate)))
+    ref_len = min((abs(r - cand_len), r) for r in ref_lens)[1]
+    bp = min(1.0, math.exp(1.0 - ref_len / cand_len))
     return bp * math.exp(log_sum / 4.0)
 
 
@@ -100,10 +112,11 @@ def _f1(overlap: float, cand_total: int, ref_total: int) -> float:
 
 def rouge_n(candidate: Tokens, reference: Tokens, n: int) -> float:
     """F1 of clipped n-gram overlap; 0 when either side has no n-grams."""
-    cand = _ngrams(candidate, n)
-    ref = _ngrams(reference, n)
-    overlap = _clipped_overlap(cand, [ref])
-    return _f1(overlap, sum(cand.values()), sum(ref.values()))
+    return _rouge_counts(_ngrams(candidate, n), _ngrams(reference, n), len(candidate), len(reference), n)
+
+
+def _rouge_counts(cand: Counter, ref: Counter, cand_len: int, ref_len: int, n: int) -> float:
+    return _f1(_overlap(cand, ref), max(cand_len - n + 1, 0), max(ref_len - n + 1, 0))
 
 
 def rouge_l(candidate: Tokens, reference: Tokens) -> float:
@@ -152,9 +165,15 @@ def corpus_report(
         raise ValueError("corpus_report over an empty corpus")
     b = r1 = r2 = rl = 0.0
     for ref, cand in zip(references, candidates):
-        b += bleu4(cand, ref)
-        r1 += rouge_n(cand, ref, 1)
-        r2 += rouge_n(cand, ref, 2)
+        if len(ref) == 0:
+            raise ValueError("bleu4 requires a non-empty reference")
+        # each sample's n-grams are counted once, for BLEU and ROUGE alike
+        ref_grams = [_ngrams(ref, n) for n in range(1, 5)]
+        cand_grams = [_ngrams(cand, n) for n in range(1, 5)]
+        if cand:
+            b += _bleu4_counts(cand_grams, ref_grams, len(cand), [len(ref)])
+        r1 += _rouge_counts(cand_grams[0], ref_grams[0], len(cand), len(ref), 1)
+        r2 += _rouge_counts(cand_grams[1], ref_grams[1], len(cand), len(ref), 2)
         rl += rouge_l(cand, ref)
     return MetricsReport(
         bleu4=b / n,

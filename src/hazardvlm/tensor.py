@@ -308,10 +308,19 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU, tanh approximation: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
+    """GELU, tanh approximation: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3))).
+
+    The cube is ``v * v * v``, two rounded products. numpy runs a float32
+    ``v**3`` through its scalar ``pow`` loop, about 100x slower, and
+    neither it nor ``v * v * v`` is the correctly rounded cube. The
+    float64 cube rounded to float32 comes nearer it, but costs several
+    times ``v * v * v`` and moves the output no nearer a float64 GELU:
+    with any of the three the error stays within two float32 ulps of
+    ``|v|``. A cube that overflows still gives ``v`` for a positive input
+    and 0 for a negative one."""
     x = _as_tensor(x)
     v = x.data
-    inner = _GELU_C * (v + 0.044715 * v**3)
+    inner = _GELU_C * (v + 0.044715 * (v * v * v))
     t = np.tanh(inner)
     out = 0.5 * v * (1.0 + t)
 
@@ -403,14 +412,15 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     x = _as_tensor(x)
-    inverse = tuple(np.argsort(axes))
+    # argsort in Python: np.argsort on a tuple costs several times more
+    inverse = sorted(range(len(axes)), key=axes.__getitem__)
 
     def bwd(g):
         # contiguous like the forward output, so downstream reductions sum
         # in the same order whichever layout the gradient arrived in
-        return (np.ascontiguousarray(np.transpose(g, inverse)),)
+        return (np.ascontiguousarray(g.transpose(inverse)),)
 
-    return _record("permute", (x,), np.transpose(x.data, axes).copy(), bwd)
+    return _record("permute", (x,), x.data.transpose(axes).copy(), bwd)
 
 
 def take_rows(x: Tensor, indices) -> Tensor:
@@ -462,13 +472,22 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    A finite row whose variance overflows raises NonFiniteError, guard on
+    or off: its ``1/sqrt(var)`` would be 0 and the row would silently
+    become the bias. A row that is already non-finite is left to the guard
+    or the caller's check, which name the op that produced it."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     d = x.shape[-1]
     # the sums and divisions np.mean and np.var run, without their dispatch
     mu = x.data.sum(axis=-1, keepdims=True) / d
     c = x.data - mu
     var = (c * c).sum(axis=-1, keepdims=True) / d
+    # one value per row, so the check costs a few microseconds; var is
+    # never negative, so its max is below inf unless a row is inf or NaN
+    if not var.max(initial=0.0) < math.inf and np.isfinite(x.data).all():
+        raise NonFiniteError("non-finite values produced by op 'layer_norm'")
     inv = 1.0 / np.sqrt(var + eps)
     y = c * inv
     out = y * gain.data + bias.data

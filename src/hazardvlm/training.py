@@ -168,9 +168,10 @@ def train(
     None. A non-finite value inside the loop raises TrainingDiverged.
 
     Each micro-batch's forward runs without the per-op NaN/Inf guard and
-    checks its loss instead; when that is not finite, the same forward
-    runs again with the guard on, so the error names the op. A
-    non-finite gradient fails ``clip_grad_norm``'s check.
+    checks its loss instead; when that is not finite, or a layer norm's
+    variance overflows, the same forward runs again with the guard on, so
+    the error names the op. A non-finite gradient fails
+    ``clip_grad_norm``'s check.
     """
     if not d_train:
         raise ValueError("empty training set")
@@ -214,14 +215,18 @@ def train(
                 group_raw: list[tuple[float, float, float]] = []
                 for start in range(0, n, cfg.batch_size):
                     batch = [d_train[i] for i in order[start : start + cfg.batch_size]]
-                    with Tape() as tape, tz.finite_checks(False):
-                        breakdown = _batch_breakdown(model, batch, prompt_ids, vocab, cfg)
-                    coord_v, text_v, raw = breakdown.values()
-                    if not math.isfinite(raw):
-                        # again with the per-op guard, so the error names the op
+                    try:
+                        with Tape() as tape, tz.finite_checks(False):
+                            breakdown = _batch_breakdown(model, batch, prompt_ids, vocab, cfg)
+                        coord_v, text_v, raw = breakdown.values()
+                        if not math.isfinite(raw):
+                            raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {step}")
+                    except (tz.NonFiniteError, TrainingDiverged):
+                        # again with the per-op guard, so the error names the
+                        # op that first produced a non-finite value
                         with Tape(), tz.finite_checks(True):
                             _batch_breakdown(model, batch, prompt_ids, vocab, cfg)
-                        raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {step}")
+                        raise
                     if initial_raw is None:
                         initial_raw = raw
                     elif raw > cfg.divergence_factor * max(initial_raw, 1e-12):

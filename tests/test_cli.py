@@ -310,6 +310,29 @@ def test_train_output_path_naming_a_directory_is_usage_error(tmp_path, conf, cap
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize(
+    "what, path, flags",
+    [
+        ("--out", "nodir/x.ckpt", ["--out", "nodir/x.ckpt", "--log", "x.csv"]),
+        ("log", "nodir/x.csv", ["--out", "x.ckpt", "--log", "nodir/x.csv"]),
+        ("--out", "data.jsonl/x.ckpt", ["--out", "data.jsonl/x.ckpt", "--log", "x.csv"]),  # a file, not a folder
+    ],
+)
+def test_train_output_path_in_a_missing_directory_is_usage_error(tmp_path, conf, capsys, monkeypatch, what, path, flags):
+    # checked before any work: the checkpoint would fail only after the whole run
+    data = synth(tmp_path, conf)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    rc = main(["train", "--config", conf, "--dataset", str(data), *flags, *FAST_TRAIN])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {what} path {path} is not in an existing directory\n"
+    assert "Traceback" not in captured.err and captured.out == ""
+    # no log row, no checkpoint, no vocabulary
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_overlong_caption_is_data_error(tmp_path, conf):
     data = synth(tmp_path, conf)
     lines = data.read_text().splitlines()
@@ -513,6 +536,29 @@ def test_overflowing_checkpoint_is_data_error(tmp_path, conf, trained, capsys, c
     assert captured.err.startswith("data error: ")
     assert "non-finite values produced by op 'matmul'" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, code", [("eval", EXIT_DATA), ("predict", EXIT_DATA), ("train", EXIT_DIVERGED)])
+def test_checkpoint_whose_layer_norm_variance_overflows_is_an_error(tmp_path, conf, trained, capsys, command, code):
+    # no op's output overflows, but a layer norm's variance does: the row
+    # would silently become the norm's bias
+    data, ckpt = trained
+    model = restore_model(load_checkpoint(ckpt))
+    model.params.tensors["proj.img.w"].data[...] = 1e37
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(model, None, bad, step=0, epoch=0, seed=0)
+    (tmp_path / "bad.ckpt.vocab").write_bytes((tmp_path / "model.ckpt.vocab").read_bytes())
+    if command == "train":
+        argv = ["train", "--dataset", str(data), "--out", str(tmp_path / "x.ckpt"), "--mode", "lora",
+                "--init-from", str(bad), *FAST_TRAIN]
+    else:
+        argv = [*_eval_or_predict(command, data, tmp_path), "--config", conf, "--checkpoint", str(bad)]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+        rc = main(argv)
+    assert rc == code
+    assert "non-finite values produced by op 'layer_norm'" in capsys.readouterr().err
 
 
 def _resealed(ckpt, blob: bytearray, tmp_path):

@@ -1,4 +1,6 @@
 import json
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -210,3 +212,84 @@ def test_identical_sequences_score_one(seq):
     assert rouge_l(seq, seq) == 1.0
     if len(seq) >= 4:  # shorter sequences have no 4-grams to match
         assert bleu4(seq, seq) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# the counting implementation against the per-gram formulation
+# ---------------------------------------------------------------------------
+
+def _reference_ngrams(tokens, n):
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _reference_clipped_overlap(cand, refs):
+    # a Python max over the references for every candidate n-gram
+    total = 0
+    for gram, count in cand.items():
+        total += min(count, max((ref[gram] for ref in refs), default=0))
+    return total
+
+
+def _reference_bleu4(candidate, refs, smooth=True):
+    if len(candidate) == 0:
+        return 0.0
+    log_sum = 0.0
+    for n in range(1, 5):
+        cand = _reference_ngrams(candidate, n)
+        total = sum(cand.values())
+        overlap = _reference_clipped_overlap(cand, [_reference_ngrams(r, n) for r in refs])
+        if overlap > 0:
+            p = overlap / total
+        elif smooth:
+            p = 1.0 / (2.0 * max(total, 1))
+        else:
+            return 0.0
+        log_sum += math.log(p)
+    ref_len = min((abs(len(r) - len(candidate)), len(r)) for r in refs)[1]
+    return min(1.0, math.exp(1.0 - ref_len / len(candidate))) * math.exp(log_sum / 4.0)
+
+
+def _reference_rouge_n(candidate, reference, n):
+    cand, ref = _reference_ngrams(candidate, n), _reference_ngrams(reference, n)
+    overlap = _reference_clipped_overlap(cand, [ref])
+    cand_total, ref_total = sum(cand.values()), sum(ref.values())
+    if overlap == 0 or cand_total == 0 or ref_total == 0:
+        return 0.0
+    precision, recall = overlap / cand_total, overlap / ref_total
+    return 2.0 * precision * recall / (precision + recall)
+
+
+nonempty = st.lists(st.sampled_from("abcd"), min_size=1, max_size=12)
+
+
+@given(st.lists(st.sampled_from("abcd"), max_size=12), st.lists(nonempty, min_size=1, max_size=3), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_bleu4_and_rouge_n_give_the_bits_of_per_gram_clipping(cand, refs, smooth):
+    assert bleu4(cand, refs, smooth=smooth) == _reference_bleu4(cand, refs, smooth)
+    assert bleu4(cand, refs[0], smooth=smooth) == _reference_bleu4(cand, refs[:1], smooth)
+    for n in (1, 2, 3):
+        assert rouge_n(cand, refs[0], n) == _reference_rouge_n(cand, refs[0], n)
+
+
+@given(st.lists(st.tuples(st.lists(st.sampled_from("abcd"), max_size=12), nonempty), min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_corpus_report_gives_the_bits_of_per_metric_calls(pairs):
+    cands = [c for c, _ in pairs]
+    refs = [r for _, r in pairs]
+    pts = [PixelPoint(float(i), 2.0 * i) for i in range(len(pairs))]
+    preds = [PixelPoint(1.5 * i, 0.5) for i in range(len(pairs))]
+    report = corpus_report(refs, pts, cands, preds)
+    b = r1 = r2 = rl = 0.0
+    for cand, ref in pairs:
+        b += _reference_bleu4(cand, [ref])
+        r1 += _reference_rouge_n(cand, ref, 1)
+        r2 += _reference_rouge_n(cand, ref, 2)
+        rl += rouge_l(cand, ref)
+    n = len(pairs)
+    assert (report.bleu4, report.rouge1, report.rouge2, report.rougeL) == (b / n, r1 / n, r2 / n, rl / n)
+
+
+def test_corpus_report_rejects_an_empty_reference():
+    pts = [PixelPoint(0.0, 0.0)] * 2
+    with pytest.raises(ValueError, match="non-empty reference"):
+        corpus_report([["a"], []], pts, [["a"], ["b"]], pts)

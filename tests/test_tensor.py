@@ -314,6 +314,91 @@ def test_layer_norm_bits_match_mean_and_var(dtype, lead, width, magnitude, seed)
         assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes(), name
 
 
+@pytest.mark.parametrize("guard", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_raises_when_a_finite_row_overflows_its_variance(guard, dtype):
+    # (c*c) overflows, so 1/sqrt(var) would be 0 and the row its bias
+    huge = np.finfo(dtype).max / 1.2
+    x = np.array([[1.0, 2.0, 3.0, 4.0], [huge, -huge, huge / 3, 0.0]], dtype)
+    gain, bias = Tensor(np.ones(4, dtype)), Tensor(np.arange(4, dtype=dtype))
+    with T.finite_checks(guard), np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(T.NonFiniteError, match=r"^non-finite values produced by op 'layer_norm'$"):
+            T.layer_norm(Tensor(x), gain, bias)
+
+
+def test_layer_norm_of_no_rows_is_empty():
+    gain, bias = Tensor(np.ones(4, np.float32)), Tensor(np.zeros(4, np.float32))
+    out = T.layer_norm(Tensor(np.zeros((0, 4), np.float32)), gain, bias)
+    assert out.shape == (0, 4)
+
+
+def test_layer_norm_leaves_a_non_finite_row_to_the_guard():
+    # a NaN that reaches the norm was produced upstream; without the guard
+    # it flows on, for the caller's check and guarded re-run to name its op
+    x = Tensor(np.array([[1.0, np.nan, 3.0]], np.float32))
+    gain, bias = Tensor(np.ones(3, np.float32)), Tensor(np.zeros(3, np.float32))
+    with T.finite_checks(False):
+        assert np.isnan(T.layer_norm(x, gain, bias).data).all()
+    with pytest.raises(T.NonFiniteError, match="op 'layer_norm'"):
+        T.layer_norm(x, gain, bias)
+
+
+@given(st.integers(1, 5), st.randoms(use_true_random=False), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_permute_gives_the_bits_of_np_transpose_with_argsort(rank, random, seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(n) for n in rng.integers(1, 4, rank))
+    axes = tuple(random.sample(range(rank), rank))
+    x = rng.standard_normal(shape).astype(np.float32)
+    with Tape() as tape:
+        out = T.permute(Tensor(x, requires_grad=True), axes)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    (dx,) = tape.nodes[-1].backward_fn(g)
+    assert out.data.tobytes() == np.transpose(x, axes).copy().tobytes()
+    ref = np.ascontiguousarray(np.transpose(g, tuple(np.argsort(axes))))
+    assert dx.shape == x.shape and dx.flags.c_contiguous and dx.tobytes() == ref.tobytes()
+
+
+def _gelu64(v):
+    v = v.astype(np.float64)
+    return 0.5 * v * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (v + 0.044715 * v**3)))
+
+
+def test_gelu_is_within_two_ulps_of_a_float64_gelu():
+    # |v| >= 10 included, where the cube term dominates the tanh argument
+    rng = np.random.default_rng(0)
+    v = np.concatenate([rng.uniform(-12.0, 12.0, 1 << 16), rng.standard_normal(1 << 14),
+                        np.linspace(-40.0, 40.0, 8001)]).astype(np.float32)
+    out = T.gelu(Tensor(v)).data
+    err = np.abs(out.astype(np.float64) - _gelu64(v))
+    # the absolute error is on the scale of the input; for v >= 0, where
+    # the output is at least v/2, that is a few ulps of the output too
+    assert out.dtype == np.float32
+    assert (err <= 2 * np.spacing(np.abs(v)).astype(np.float64)).all()
+    pos = v >= 0
+    assert (err[pos] <= 4 * np.spacing(out[pos]).astype(np.float64)).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_output_is_bitwise_the_cube_by_multiplication(dtype):
+    # the documented formula, cube as v * v * v: a change of how the cube
+    # rounds changes every output bit downstream
+    rng = np.random.default_rng(1)
+    v = (rng.standard_normal(4096) * 4.0).astype(dtype)
+    c = math.sqrt(2.0 / math.pi)
+    want = 0.5 * v * (1.0 + np.tanh(c * (v + 0.044715 * (v * v * v))))
+    got = T.gelu(Tensor(v)).data
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype, big", [(np.float32, 1e13), (np.float32, 3e38), (np.float64, 1e103)])
+def test_gelu_of_an_input_whose_cube_overflows_is_v_or_zero(dtype, big):
+    v = np.array([big, -big, 2.0], dtype)
+    with np.errstate(over="ignore"):
+        out = T.gelu(Tensor(v)).data
+    assert out[0] == v[0] and out[1] == 0.0 and np.isfinite(out).all()
+
+
 def test_non_finite_guard():
     big = Tensor([[1e38, 1e38]])
     with np.errstate(over="ignore"):

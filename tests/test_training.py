@@ -301,17 +301,20 @@ def test_poisoned_weight_divergence_names_the_op(mode, names, value, op):
     assert all(t.grad is None for t in model.params.tensors.values())
 
 
-def test_overflowing_projector_weight_is_absorbed_in_training():
+def test_overflowing_projector_weight_is_divergence_in_training():
     # the untrained image features are small, so a projector weight of
     # 3e38 overflows no op's output. The huge latents enter the decoder's
-    # residual stream, where each layer norm's variance overflows to inf
-    # and the norm outputs its bias: the loss stays finite, guarded or not
+    # residual stream, where a layer norm's variance overflows to inf;
+    # its output would be the bias and the loss finite, so the layer norm
+    # itself raises, guarded or not
     samples, vocab = make_dataset(4)
     model = _poisoned(vocab, "pretrain", ["proj.img.w"], 3e38)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        res = train(model, samples, samples[:1], vocab, quick_cfg(grad_accum_steps=1))
-    assert len(res.logs) == 4 and all(math.isfinite(entry.loss) for entry in res.logs)
+        with pytest.raises(TrainingDiverged) as caught:
+            train(model, samples, samples[:1], vocab, quick_cfg(grad_accum_steps=1))
+    assert str(caught.value) == "non-finite values produced by op 'layer_norm' at optimizer step 0"
+    assert all(t.grad is None for t in model.params.tensors.values())
 
 
 def test_non_finite_loss_the_guarded_rerun_passes_names_the_step(monkeypatch):
