@@ -161,6 +161,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(cfg, key, flag)
+    if not 0 <= cfg.seed < 2**64:  # seeds numpy and a checkpoint's u64 field
+        raise UsageError(f"seed must be in [0, 2**64), got {cfg.seed}")
     return cfg
 
 

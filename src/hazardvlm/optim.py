@@ -79,13 +79,11 @@ class FlatArrays(Mapping[str, np.ndarray]):
         return len(self.layout.shapes)
 
 
-def _flatten(
-    arrays: Mapping[str, np.ndarray], shapes: Mapping[str, tuple[int, ...]], dtype, what: str
-) -> FlatArrays:
-    """The arrays of ``shapes``' names, in that order and of those shapes,
-    as one FlatArrays of ``dtype``: ``arrays`` itself when it already is
-    exactly that, else a packed copy. A missing or misshapen entry raises
-    ValueError naming ``what`` and the entry."""
+def _flatten(arrays: Mapping[str, np.ndarray], shapes: Mapping[str, tuple[int, ...]], dtype) -> FlatArrays:
+    """The gradients of ``shapes``' names, in that order and of those
+    shapes, as one FlatArrays of ``dtype``: ``arrays`` itself when it
+    already is exactly that, else a packed copy. A missing or misshapen
+    entry raises ValueError naming it."""
     if (
         isinstance(arrays, FlatArrays)
         and arrays.flat.dtype == dtype
@@ -95,10 +93,10 @@ def _flatten(
     values = []
     for name, shape in shapes.items():
         if name not in arrays:
-            raise ValueError(f"no {what} for '{name}'")
+            raise ValueError(f"no gradient for '{name}'")
         values.append(np.asarray(arrays[name]))
         if values[-1].shape != shape:
-            raise ValueError(f"{what} shape {values[-1].shape} != param shape {shape} for '{name}'")
+            raise ValueError(f"gradient shape {values[-1].shape} != param shape {shape} for '{name}'")
     layout = _Layout(shapes)
     packed = FlatArrays(np.empty(layout.size, dtype), layout)
     _pack(values, packed.flat)
@@ -116,9 +114,9 @@ class AdamWState:
     """Moment estimates plus shared hyperparameters.
 
     ``m`` and ``v`` map each parameter name to its moment array. They start
-    empty (zero moments) or as the dicts ``restore_optimizer_state``
-    builds; the first step replaces them with FlatArrays in the
-    parameters' layout, which later steps update in place."""
+    empty (zero moments); the first step replaces them with FlatArrays in
+    the parameters' layout, which later steps update in place. They live
+    for one run: checkpoints do not store them."""
 
     beta1: float = 0.9
     beta2: float = 0.999
@@ -130,6 +128,21 @@ class AdamWState:
     # (layout, array, views): the array the update runs in and a view of it
     # per parameter for the write-back, kept for the moments' layout
     _scratch: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+
+def _check_moments(state: AdamWState, shapes: Mapping[str, tuple[int, ...]], dtype) -> None:
+    """ValueError unless ``state.m`` and ``state.v`` are FlatArrays of
+    ``dtype`` over ``shapes``' names and shapes, in that order."""
+    wanted = list(shapes.items())
+    for what, moments in (("m", state.m), ("v", state.v)):
+        if not isinstance(moments, FlatArrays):
+            raise ValueError(f"moment {what} is a {type(moments).__name__}, not the FlatArrays of an earlier step")
+        held = list(moments.layout.shapes.items())
+        if held != wanted:
+            name = next((a or b)[0] for a, b in itertools.zip_longest(held, wanted) if a != b)
+            raise ValueError(f"moment {what} does not fit the parameters at '{name}'")
+        if moments.flat.dtype != dtype:
+            raise ValueError(f"moment {what} is {moments.flat.dtype}, the parameters {dtype}")
 
 
 def adamw_step(
@@ -146,19 +159,23 @@ def adamw_step(
 
     The update runs over all parameters at once, on flat arrays in the
     parameters' common dtype, and then writes each parameter in place;
-    every element gets the bits of updating its tensor alone. A missing or
-    misshapen gradient or moment raises ValueError before anything, the
-    state included, has changed.
+    every element gets the bits of updating its tensor alone. Empty moments
+    start from zeros; otherwise they must be the FlatArrays an earlier step
+    made over the same names, shapes and dtype. A missing or misshapen
+    gradient, or moments made for other parameters, raise ValueError
+    before anything, the state included, has changed.
     """
     if lr < 0:
         raise ValueError(f"negative learning rate {lr}")
     data = [p.data for p in params.values()]
     shapes = dict(zip(params, (d.shape for d in data)))
     dtype = np.result_type(*data) if data else DEFAULT_DTYPE
-    g = _flatten(grads, shapes, dtype, "gradient")
-    m = _flatten(state.m, shapes, dtype, "moment m") if state.m else FlatArrays.zeros(shapes, dtype)
-    v = _flatten(state.v, shapes, dtype, "moment v") if state.v else FlatArrays.zeros(shapes, dtype)
-    state.m, state.v = m, v
+    g = _flatten(grads, shapes, dtype)
+    if state.m or state.v:
+        _check_moments(state, shapes, dtype)
+    else:
+        state.m, state.v = FlatArrays.zeros(shapes, dtype), FlatArrays.zeros(shapes, dtype)
+    m, v = state.m, state.v
     kept = state._scratch
     if kept is None or kept[0] is not m.layout:
         out = np.empty_like(m.flat)
@@ -238,7 +255,7 @@ def clip_grad_norm(
     else:
         arrays = {name: np.asarray(g) for name, g in grads.items()}
         dtype = np.result_type(*arrays.values()) if arrays else DEFAULT_DTYPE
-        flat = _flatten(arrays, {name: a.shape for name, a in arrays.items()}, dtype, "gradient")
+        flat = _flatten(arrays, {name: a.shape for name, a in arrays.items()}, dtype)
     if not np.isfinite(flat.flat).all():
         raise DivergenceError("non-finite gradient before clipping")
     total = 0.0

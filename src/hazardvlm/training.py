@@ -64,6 +64,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.grad_accum_steps < 1:
             raise ValueError("epochs, batch_size and grad_accum_steps must all be >= 1")
+        if not 0 <= self.seed < 2**64:  # the checkpoint stores it as a u64
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.mode not in ("pretrain", "lora"):
             raise ValueError(f"unknown training mode {self.mode!r}")
 
@@ -268,7 +270,7 @@ def train(
             t.zero_grad()
 
     if cfg.checkpoint_path:
-        save_checkpoint(model, state, cfg.checkpoint_path, step=step, epoch=cfg.epochs, seed=cfg.seed)
+        save_checkpoint(model, None, cfg.checkpoint_path, step=step, epoch=cfg.epochs, seed=cfg.seed)
     return result
 
 
@@ -369,14 +371,15 @@ def evaluate(
 # Layout (all integers little-endian):
 #   magic "INSG" | version u32 | crc32 u32 | length u64 | payload
 # where crc32 (zlib's) and length are those of the payload, which is:
-#   config | tensor section | moment section | metadata
+#   config | tensor section | metadata
 # config is the model's ModelConfig: len u32 | UTF-8 JSON, keys sorted;
-# a section is: count u32, then per entry:
+# the tensor section is: count u32, then per tensor, each name once:
 #   name_len u32 | name utf-8 | rank u32 | dims u64 each | float32 payload
-# and metadata is three u64 scalars: step, epoch, seed.
+# and metadata is three u64 scalars: step, epoch, seed. Version 2 files
+# also held an optimizer-moment section; versions 1 and 2 are not read.
 
 MAGIC = b"INSG"
-VERSION = 2
+VERSION = 3
 
 
 class CheckpointError(RuntimeError):
@@ -399,44 +402,35 @@ class Truncated(CheckpointError):
 class Checkpoint:
     config: ModelConfig
     tensors: dict[str, np.ndarray]
-    moments: dict[str, np.ndarray]
     step: int
     epoch: int
     seed: int
 
 
-def _write_section(out: list[bytes], entries: dict[str, np.ndarray]) -> None:
-    out.append(struct.pack("<I", len(entries)))
-    for name, arr in entries.items():
-        raw = name.encode("utf-8")
-        arr32 = np.ascontiguousarray(arr, dtype="<f4")
-        out.append(struct.pack("<I", len(raw)))
-        out.append(raw)
-        out.append(struct.pack("<I", arr32.ndim))
-        out.append(struct.pack(f"<{arr32.ndim}Q", *arr32.shape))
-        out.append(arr32.tobytes())
-
-
 def save_checkpoint(
     model: HazardModel,
-    state: AdamWState | None,
+    _unused: object,
     path: str | Path,
     step: int,
     epoch: int,
     seed: int,
 ) -> None:
-    """Atomic binary dump of the model's config and tensors plus optimizer
-    moments."""
+    """Atomic binary dump of the model's config and tensors.
+
+    The second parameter is ignored: it once took the optimizer state,
+    and the benchmark's set-up (``perfbench/bench_workloads.py``) still
+    calls ``save_checkpoint(model, None, path, ...)``."""
     config = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
-    chunks: list[bytes] = [struct.pack("<I", len(config)), config]
-    _write_section(chunks, {n: t.data for n, t in model.params.tensors.items()})
-    moments: dict[str, np.ndarray] = {}
-    if state is not None:
-        for name, arr in state.m.items():
-            moments[f"m.{name}"] = arr
-        for name, arr in state.v.items():
-            moments[f"v.{name}"] = arr
-    _write_section(chunks, moments)
+    tensors = model.params.tensors
+    chunks: list[bytes] = [struct.pack("<I", len(config)), config, struct.pack("<I", len(tensors))]
+    for name, t in tensors.items():
+        raw = name.encode("utf-8")
+        arr32 = np.ascontiguousarray(t.data, dtype="<f4")
+        chunks.append(struct.pack("<I", len(raw)))
+        chunks.append(raw)
+        chunks.append(struct.pack("<I", arr32.ndim))
+        chunks.append(struct.pack(f"<{arr32.ndim}Q", *arr32.shape))
+        chunks.append(arr32.tobytes())
     chunks.append(struct.pack("<3Q", step, epoch, seed))
     payload = b"".join(chunks)
 
@@ -475,10 +469,12 @@ class _Reader:
             raise ValueError("stored model config does not have ModelConfig's fields and types")
         return ModelConfig(**values)
 
-    def section(self) -> dict[str, np.ndarray]:
+    def tensors(self) -> dict[str, np.ndarray]:
         entries: dict[str, np.ndarray] = {}
         for _ in range(self.u32()):
             name = self.take(self.u32()).decode("utf-8")
+            if name in entries:
+                raise ValueError(f"tensor '{name}' stored twice")
             rank = self.u32()
             dims = struct.unpack(f"<{rank}Q", self.take(8 * rank))
             data = np.frombuffer(self.take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
@@ -509,23 +505,24 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     r = _Reader(payload)
     try:
         config = r.config()
-        tensors = r.section()
-        moments = r.section()
+        tensors = r.tensors()
         step, epoch, seed = struct.unpack("<3Q", r.take(24))
     except (ValueError, OverflowError, RecursionError, struct.error) as exc:
         # a corrupted config, name, rank or dimension (UnicodeDecodeError is a ValueError)
         raise CheckpointError(f"{path}: malformed checkpoint payload ({exc})") from exc
     if r.pos != len(payload):
         raise CheckpointError(f"{len(payload) - r.pos} trailing bytes in checkpoint payload")
-    return Checkpoint(config=config, tensors=tensors, moments=moments, step=step, epoch=epoch, seed=seed)
+    return Checkpoint(config=config, tensors=tensors, step=step, epoch=epoch, seed=seed)
 
 
 def apply_checkpoint(model: HazardModel, ckpt: Checkpoint) -> None:
     """Copy checkpoint tensors into a model by name.
 
     Every name in the file must exist in the model with a matching shape.
-    Model tensors absent from the file keep their initialization (this is
-    how a pretrain checkpoint loads into a model with fresh adapters).
+    Model tensors absent from the file keep their initialization, so a
+    pretrain checkpoint loads into a model with fresh adapters. The
+    program builds models from a file with ``restore_model``; the
+    benchmark's set-up loads checkpoints with this.
     """
     for name, arr in ckpt.tensors.items():
         if name not in model.params.tensors:
@@ -557,26 +554,3 @@ def restore_model(ckpt: Checkpoint) -> HazardModel:
     if missing:
         raise CheckpointError(f"checkpoint lacks {len(missing)} tensor(s) of its model, first '{missing[0]}'")
     return HazardModel.from_arrays(ckpt.config, ckpt.tensors)
-
-
-def restore_optimizer_state(ckpt: Checkpoint, cfg: TrainConfig) -> AdamWState:
-    """Rebuild AdamW moments from a checkpoint's moment section.
-
-    Hyperparameters come from the config (they are not serialized); the
-    step counter resumes from the checkpoint's step.
-    """
-    state = AdamWState(
-        beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps, weight_decay=cfg.weight_decay,
-        t=ckpt.step,
-    )
-    for name, arr in ckpt.moments.items():
-        kind, _, param = name.partition(".")
-        if kind == "m":
-            state.m[param] = arr.astype(np.float32).copy()
-        elif kind == "v":
-            state.v[param] = arr.astype(np.float32).copy()
-        else:
-            raise CheckpointError(f"unrecognized moment entry '{name}'")
-    if set(state.m) != set(state.v):
-        raise CheckpointError("checkpoint moment sections are unpaired")
-    return state

@@ -1,7 +1,7 @@
 """Shared helpers: the differentiable-op battery used by the tensor tests
 and the acceptance suite, per-tensor reference versions of backward,
 gradient accumulation, clipping and AdamW that the flat, whole-model
-versions in the library must match bit for bit, and a checkpoint writer
+versions in the library must match bit for bit, and checkpoint writers
 for tests that corrupt a payload on purpose."""
 
 import math
@@ -19,10 +19,29 @@ from hazardvlm.training import MAGIC, VERSION
 CHECKPOINT_HEADER = len(MAGIC) + struct.calcsize("<IIQ")
 
 
-def sealed_checkpoint(payload: bytes) -> bytes:
+def sealed_checkpoint(payload: bytes, version: int = VERSION) -> bytes:
     """A checkpoint file around ``payload`` whose checksum and length
     fields match it, so the reader goes on to parse the payload."""
-    return MAGIC + struct.pack("<IIQ", VERSION, zlib.crc32(payload), len(payload)) + payload
+    return MAGIC + struct.pack("<IIQ", version, zlib.crc32(payload), len(payload)) + payload
+
+
+def with_repeated_last_tensor(blob: bytes, value: float) -> bytes:
+    """``blob``'s checkpoint, resealed with its last tensor stored once
+    more after it, every element ``value``."""
+    payload = blob[CHECKPOINT_HEADER:]
+    count_at = 4 + struct.unpack_from("<I", payload)[0]  # after the config
+    (count,) = struct.unpack_from("<I", payload, count_at)
+    pos = count_at + 4
+    for _ in range(count):
+        start = pos
+        (name_len,) = struct.unpack_from("<I", payload, pos)
+        (rank,) = struct.unpack_from("<I", payload, pos + 4 + name_len)
+        dims = struct.unpack_from(f"<{rank}Q", payload, pos + 8 + name_len)
+        data_at = pos + 8 + name_len + 8 * rank
+        pos = data_at + 4 * math.prod(dims)
+    repeat = payload[start:data_at] + np.full(dims, value, "<f4").tobytes()
+    counted = payload[:count_at] + struct.pack("<I", count + 1) + payload[count_at + 4 : pos]
+    return sealed_checkpoint(counted + repeat + payload[pos:])
 
 
 def away_from_zero(rng, *shape):

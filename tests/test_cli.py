@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import CHECKPOINT_HEADER, sealed_checkpoint
+from conftest import CHECKPOINT_HEADER, sealed_checkpoint, with_repeated_last_tensor
 from hazardvlm.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, RunConfig, main
 from hazardvlm.data import load_dataset
 from hazardvlm.training import load_checkpoint, restore_model, save_checkpoint
@@ -367,6 +367,21 @@ def test_checkpoint_with_undecodable_name_is_data_error(tmp_path, conf, trained)
     assert rc == EXIT_DATA
 
 
+def test_checkpoint_with_a_repeated_tensor_is_data_error(tmp_path, conf, trained, capsys):
+    # a second copy of the last tensor, every element 123.0
+    data, ckpt = trained
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(with_repeated_last_tensor(ckpt.read_bytes(), 123.0))
+    (tmp_path / "bad.ckpt.vocab").write_bytes((tmp_path / "model.ckpt.vocab").read_bytes())
+    img_path = tmp_path / "img.npy"
+    np.save(img_path, load_dataset(data)[0][0].image)
+    capsys.readouterr()
+    rc = main(["predict", "--checkpoint", str(bad), "--image", str(img_path), "--greedy"])
+    assert rc == EXIT_DATA
+    captured = capsys.readouterr()
+    assert "tensor 'dec.out.b' stored twice" in captured.err and captured.out == ""
+
+
 def test_lora_checkpoint_round_trips_through_eval(tmp_path, conf, trained, capsys):
     data, base_ckpt = trained
     lora_ckpt = tmp_path / "lora.ckpt"
@@ -650,6 +665,32 @@ def test_config_value_the_library_rejects_is_usage_error(tmp_path, trained, caps
     rc = main([*argv, "--config", str(bad)])
     assert rc == EXIT_USAGE
     assert capsys.readouterr().err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "predict"])
+@pytest.mark.parametrize("where", ["flag", "file"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_seed_is_usage_error_before_any_work(tmp_path, trained, capsys, monkeypatch, command, where, seed):
+    # checked before any work: 2**64 does not fit the checkpoint's u64 seed field
+    data, ckpt = trained
+    img = tmp_path / "img.npy"
+    np.save(img, load_dataset(data)[0][0].image)
+    (tmp_path / "seed.conf").write_text(SMALL_CONF + (f"seed = {seed}\n" if where == "file" else ""))
+    argv = {
+        "synth": ["synth", "--out", "d.jsonl"],
+        "train": ["train", "--dataset", str(data), "--out", "x.ckpt", *FAST_TRAIN],
+        "predict": ["predict", "--checkpoint", str(ckpt), "--image", str(img), "--out", "p.txt"],
+    }[command]
+    argv += ["--config", "seed.conf"] + (["--seed", str(seed)] if where == "flag" else [])
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: seed must be in [0, 2**64), got {seed}\n"
+    assert captured.out == ""
+    # no dataset, log, checkpoint, vocabulary or prediction
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

