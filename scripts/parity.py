@@ -9,6 +9,9 @@ sources of the checkout this script sits in:
 
 - ``synth`` of 40 scenes;
 - a pretrain, then a LoRA ``train`` over it;
+- a second LoRA ``train`` with ``--grad-accum-steps 3``: each epoch ends
+  in a partial group, so the weight-only work shared by a group's
+  micro-batches is redone mid-epoch;
 - a second pretrain with ``--grad-accum-steps 3``: 32 training scenes
   make each epoch end in a partial group of 2 micro-batches;
 - a third pretrain with ``batch_size = 2`` from a ``--config`` file, so
@@ -80,6 +83,8 @@ def main() -> int:
                                *PRETRAIN_BATCH2])
     run("03-lora", ["train", "--dataset", "scenes.jsonl", "--out", "lora.ckpt",
                     "--mode", "lora", "--init-from", "base.ckpt"])
+    run("03-lora-accum3", ["train", "--dataset", "scenes.jsonl", "--out", "lora-accum3.ckpt",
+                           "--mode", "lora", "--init-from", "base.ckpt", "--grad-accum-steps", "3"])
     for ckpt in ("base", "lora"):
         run(f"04-eval-{ckpt}", ["eval", "--checkpoint", f"{ckpt}.ckpt", "--dataset", "scenes.jsonl",
                                 "--out", f"eval-{ckpt}"])

@@ -163,6 +163,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, key, flag)
     if not 0 <= cfg.seed < 2**64:  # seeds numpy and a checkpoint's u64 field
         raise UsageError(f"seed must be in [0, 2**64), got {cfg.seed}")
+    config_for(TrainConfig, cfg)  # its checks, before any work
     return cfg
 
 

@@ -325,17 +325,20 @@ class HazardModel:
             t.requires_grad = name in trainable
 
     def merged(self) -> "HazardModel":
-        """An inference view of this model with each adapter merged into its
-        base weight once (W + A.B, the same bits as on every use). It shares
-        every other tensor, has no adapters and records no gradient to the
-        adapters; rebuild it after the adapters change. Without adapters,
-        the model itself."""
+        """A view of this model with each adapter merged into its base weight
+        once (W + A.B, the same bits as on every use). It shares every other
+        tensor and has no adapters; rebuild it after the adapters change.
+        Built inside a Tape, each merged weight keeps its graph back to its
+        adapter, so a backward through the view reaches the adapters. Built
+        outside one, the merged weights are plain arrays: an inference view.
+        Without adapters, the model itself."""
         if not self.lora_enabled:
             return self
         view = copy.copy(self)
         tensors = dict(self.params.tensors)
         for name, adapter in self.params.adapters.items():
-            tensors[name] = Tensor(effective_weight(tensors[name], adapter).data)
+            weight = effective_weight(tensors[name], adapter)
+            tensors[name] = weight if tz.recording() else Tensor(weight.data)
         view.params = ModelParams(tensors=tensors)
         view.lora_enabled = False
         return view
@@ -359,26 +362,12 @@ class HazardModel:
     def _p(self, name: str) -> Tensor:
         return self.params.tensors[name]
 
-    def _split_heads(self, x: Tensor, keys: bool = False) -> Tensor:
-        """... x n x d rows to ... x h x n x dh, or ... x h x dh x n for keys;
-        a single row is already in that layout, so it needs a reshape and no
-        permute."""
-        cfg = self.config
-        shape = x.data.shape
-        lead, n = shape[:-2], shape[-2]
-        h = cfg.heads
-        dh = cfg.embed_dim // h
-        if n == 1:
-            return tz.reshape(x, lead + ((h, dh, 1) if keys else (h, 1, dh)))
-        b = len(lead)
-        axes = (b + 1, b + 2, b) if keys else (b + 1, b, b + 2)
-        return tz.permute(tz.reshape(x, lead + (n, h, dh)), tuple(range(b)) + axes)
-
     def _keys_values(self, kv: Tensor, prefix: str) -> tuple[Tensor, Tensor]:
         """Keys (... x h x dh x n) and values (... x h x n x dh) of kv's rows."""
-        k = tz.add(tz.matmul(kv, self._w(f"{prefix}.wk")), self._p(f"{prefix}.bk"))
-        v = tz.add(tz.matmul(kv, self._w(f"{prefix}.wv")), self._p(f"{prefix}.bv"))
-        return self._split_heads(k, keys=True), self._split_heads(v)
+        k = tz.linear(kv, self._w(f"{prefix}.wk"), self._p(f"{prefix}.bk"))
+        v = tz.linear(kv, self._w(f"{prefix}.wv"), self._p(f"{prefix}.bv"))
+        h = self.config.heads
+        return tz.split_heads(k, h, keys=True), tz.split_heads(v, h)
 
     def _attention(self, x: Tensor, kv, prefix: str, causal: bool):
         """Multi-head scaled dot-product attention of x's rows (... x n_q x d)
@@ -387,29 +376,22 @@ class HazardModel:
         ... x h x n_q x n_kv tensor)."""
         cfg = self.config
         h, d = cfg.heads, cfg.embed_dim
-        q = tz.add(tz.matmul(x, self._w(f"{prefix}.wq")), self._p(f"{prefix}.bq"))
+        q = tz.linear(x, self._w(f"{prefix}.wq"), self._p(f"{prefix}.bq"))
         kh, vh = kv if isinstance(kv, tuple) else self._keys_values(x if kv is None else kv, prefix)
-        # every head (and every scene) in one product
-        qh = self._split_heads(q)
-        lead, n_q = q.data.shape[:-2], q.data.shape[-2]
-        n_kv = kh.data.shape[-1]
-        scores = tz.scale(tz.matmul(qh, kh), 1.0 / math.sqrt(d // h))
+        n_q, n_kv = x.data.shape[-2], kh.data.shape[-1]
+        mask = None
         if causal and n_q > 1:
             # query i is position n_kv - n_q + i and sees keys up to it
             mask = np.triu(np.full((n_q, n_kv), MASK_VALUE, np.float32), k=1 + n_kv - n_q)
-            scores = tz.add(scores, Tensor(mask))
-        attn = tz.softmax(scores, axis=-1)
-        out = tz.matmul(attn, vh)
-        if n_q > 1:
-            b = len(lead)
-            out = tz.permute(out, tuple(range(b)) + (b + 1, b, b + 2))
-        out = tz.reshape(out, lead + (n_q, d))
-        out = tz.add(tz.matmul(out, self._w(f"{prefix}.wo")), self._p(f"{prefix}.bo"))
+        # every head (and every scene) in one product
+        attn = tz.attention_weights(tz.split_heads(q, h), kh, 1.0 / math.sqrt(d // h), mask)
+        out = tz.merge_heads(tz.matmul(attn, vh))
+        out = tz.linear(out, self._w(f"{prefix}.wo"), self._p(f"{prefix}.bo"))
         return out, attn
 
     def _ffn(self, x: Tensor, prefix: str) -> Tensor:
-        hmid = tz.gelu(tz.add(tz.matmul(x, self._w(f"{prefix}.w1")), self._p(f"{prefix}.b1")))
-        return tz.add(tz.matmul(hmid, self._w(f"{prefix}.w2")), self._p(f"{prefix}.b2"))
+        hmid = tz.gelu(tz.linear(x, self._w(f"{prefix}.w1"), self._p(f"{prefix}.b1")))
+        return tz.linear(hmid, self._w(f"{prefix}.w2"), self._p(f"{prefix}.b2"))
 
     def _ln(self, x: Tensor, prefix: str) -> Tensor:
         return tz.layer_norm(x, self._p(f"{prefix}.g"), self._p(f"{prefix}.b"))
@@ -434,7 +416,7 @@ class HazardModel:
                 f"({cfg.channels}, {cfg.image_size}, {cfg.image_size}), with or without a batch axis"
             )
         patches = patchify(image, cfg.patch_size)
-        x = tz.add(tz.matmul(patches, self._w("vis.patch_embed.w")), self._p("vis.patch_embed.b"))
+        x = tz.linear(patches, self._w("vis.patch_embed.w"), self._p("vis.patch_embed.b"))
         x = tz.add(x, self._p("vis.pos"))
         maps = None
         for i in range(cfg.encoder_layers):
@@ -464,9 +446,9 @@ class HazardModel:
         if features.shape[-1] != self.config.embed_dim:
             raise tz.ShapeError(f"expected width {self.config.embed_dim}, got {features.shape}")
         if self.config.projector == "linear":
-            return tz.add(tz.matmul(features, self._w(f"{name}.w")), self._p(f"{name}.b"))
-        mid = tz.gelu(tz.add(tz.matmul(features, self._w(f"{name}.w1")), self._p(f"{name}.b1")))
-        return tz.add(tz.matmul(mid, self._w(f"{name}.w2")), self._p(f"{name}.b2"))
+            return tz.linear(features, self._w(f"{name}.w"), self._p(f"{name}.b"))
+        mid = tz.gelu(tz.linear(features, self._w(f"{name}.w1"), self._p(f"{name}.b1")))
+        return tz.linear(mid, self._w(f"{name}.w2"), self._p(f"{name}.b2"))
 
     def fuse(self, e_img: Tensor, e_text: Tensor) -> Tensor:
         """Sequence concatenation in latent space: image rows then text rows
@@ -504,7 +486,7 @@ class HazardModel:
         if cache is not None:
             cache.length += steps
         x = self._ln(x, "dec.ln_f")
-        return tz.add(tz.matmul(x, self._w("dec.out.w")), self._p("dec.out.b"))
+        return tz.linear(x, self._w("dec.out.w"), self._p("dec.out.b"))
 
     def decode_caption_teacher_forced(self, fused: Tensor, targets) -> Tensor:
         """Logits (T x V) for predicting `targets`; position t conditions on

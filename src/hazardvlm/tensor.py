@@ -130,10 +130,14 @@ class TapeNode:
 
 
 class Tape:
-    """Append-only op record; construction order is the topological order."""
+    """Append-only op record; construction order is the topological order.
 
-    def __init__(self):
-        self.nodes: list[TapeNode] = []
+    A tape can start with ``nodes`` recorded on another, such as work that
+    several tapes share: a backward on this tape then passes through them
+    too, and their outputs are intermediates here, not leaves."""
+
+    def __init__(self, nodes: Sequence[TapeNode] = ()):
+        self.nodes: list[TapeNode] = list(nodes)
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -146,6 +150,12 @@ class Tape:
 
     def backward(self, root: Tensor) -> None:
         backward(self, root)
+
+
+def recording() -> bool:
+    """Whether a Tape is active, so ops on tensors that require gradients
+    are being recorded."""
+    return bool(_TAPE_STACK)
 
 
 def _record(op: str, parents: tuple[Tensor, ...], out_data: np.ndarray, backward_fn) -> Tensor:
@@ -235,6 +245,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ b.data.swapaxes(-1, -2), gb.sum(axis=0) if shared else gb
 
     return _record("matmul", (a, b), x @ y, bwd)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node, with the bits of ``add(matmul(x, w), b)``
+    forward and backward: x is n x d_in rows or a stack of them, w one
+    d_in x d_out matrix and b d_out biases. A parent that requires no
+    gradient gets none computed."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    xd, wd = x.data, w.data
+    if xd.ndim not in (2, 3) or wd.ndim != 2 or xd.shape[-1] != wd.shape[0] or b.shape != wd.shape[1:]:
+        raise ShapeError(f"linear expects rows (or a stack) x d_in, d_in x d_out and d_out, got "
+                         f"{xd.shape}, {wd.shape} and {b.shape}")
+
+    def bwd(g):
+        gx = g @ wd.swapaxes(-1, -2) if x.requires_grad else None
+        gw = None
+        if w.requires_grad:
+            gw = xd.swapaxes(-1, -2) @ g
+            # the shared matrix's gradient sums over the stack
+            gw = gw.sum(axis=0) if xd.ndim == 3 else gw
+        return gx, gw, _unbroadcast(g, b.shape) if b.requires_grad else None
+
+    return _record("linear", (x, w, b), xd @ wd + b.data, bwd)
 
 
 def add(a: Tensor, b) -> Tensor:
@@ -421,6 +454,92 @@ def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
         return (np.ascontiguousarray(g.transpose(inverse)),)
 
     return _record("permute", (x,), x.data.transpose(axes).copy(), bwd)
+
+
+def split_heads(x: Tensor, heads: int, keys: bool = False) -> Tensor:
+    """... x n x (h*dh) rows to ... x h x n x dh, or ... x h x dh x n for
+    keys, as one node with the bits of ``permute(reshape(x, ...), ...)``.
+    A single row is already in that layout: a reshape and no permute."""
+    x = _as_tensor(x)
+    shape = x.data.shape
+    if x.data.ndim < 2 or shape[-1] % heads:
+        raise ShapeError(f"split_heads: {heads} heads do not divide rows of shape {shape}")
+    lead, n = shape[:-2], shape[-2]
+    dh = shape[-1] // heads
+    if n == 1:
+        def bwd(g):
+            return (g.reshape(shape),)
+
+        row = (heads, dh, 1) if keys else (heads, 1, dh)
+        return _record("split_heads", (x,), x.data.reshape(lead + row), bwd)
+    b = len(lead)
+    axes = tuple(range(b)) + ((b + 1, b + 2, b) if keys else (b + 1, b, b + 2))
+    inverse = sorted(range(len(axes)), key=axes.__getitem__)
+
+    def bwd(g):
+        return (np.ascontiguousarray(g.transpose(inverse)).reshape(shape),)
+
+    return _record("split_heads", (x,), x.data.reshape(lead + (n, heads, dh)).transpose(axes).copy(), bwd)
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """... x h x n x dh heads back to ... x n x (h*dh) rows, as one node
+    with the bits of ``reshape(permute(x, ...), ...)``; a single row needs
+    the reshape only."""
+    x = _as_tensor(x)
+    shape = x.data.shape
+    if x.data.ndim < 3:
+        raise ShapeError(f"merge_heads expects ... x h x n x dh, got {shape}")
+    *lead, h, n, dh = shape
+    rows = (*lead, n, h * dh)
+    if n == 1:
+        def bwd(g):
+            return (g.reshape(shape),)
+
+        return _record("merge_heads", (x,), x.data.reshape(rows), bwd)
+    b = len(lead)
+    axes = tuple(range(b)) + (b + 1, b, b + 2)  # swaps two axes: its own inverse
+    permuted = (*lead, n, h, dh)
+
+    def bwd(g):
+        return (np.ascontiguousarray(g.reshape(permuted).transpose(axes)),)
+
+    return _record("merge_heads", (x,), x.data.transpose(axes).copy().reshape(rows), bwd)
+
+
+def attention_weights(q: Tensor, k: Tensor, scale: float, mask: np.ndarray | None = None) -> Tensor:
+    """``softmax(q @ k * scale + mask)`` over the last axis as one node,
+    with the bits of ``matmul``, ``scale``, ``add`` and ``softmax``
+    forward and backward. q is ... x n_q x dh and k ... x dh x n_kv with
+    equal leading dims; ``mask`` is a constant n_q x n_kv array added to
+    every leading entry, or None.
+
+    With the per-op guard on, the scores are checked before the softmax
+    too: a score of -inf would leave its row finite."""
+    q, k = _as_tensor(q), _as_tensor(k)
+    qd, kd = q.data, k.data
+    if qd.ndim != kd.ndim or not 2 <= qd.ndim <= 4 or qd.shape[:-2] != kd.shape[:-2] or qd.shape[-1] != kd.shape[-2]:
+        raise ShapeError(
+            f"attention_weights expects ... x n_q x dh and ... x dh x n_kv, got {qd.shape} and {kd.shape}"
+        )
+    s = float(scale)
+    scores = (qd @ kd) * s
+    if mask is not None:
+        scores = scores + mask
+    if _FINITE_CHECKS and not np.isfinite(scores).all():
+        raise NonFiniteError("non-finite values produced by op 'attention_weights'")
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        dot = (g * out).sum(axis=-1, keepdims=True)
+        gs = (g - dot) * out * s
+        return (
+            gs @ kd.swapaxes(-1, -2) if q.requires_grad else None,
+            qd.swapaxes(-1, -2) @ gs if k.requires_grad else None,
+        )
+
+    return _record("attention_weights", (q, k), out, bwd)
 
 
 def take_rows(x: Tensor, indices) -> Tensor:

@@ -68,6 +68,17 @@ class TrainConfig:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.mode not in ("pretrain", "lora"):
             raise ValueError(f"unknown training mode {self.mode!r}")
+        # written as `not <valid>`, so NaN fails every check
+        if not self.soft_argmax_tau > 0:
+            raise ValueError(f"soft_argmax_tau must be positive, got {self.soft_argmax_tau}")
+        if not 0 <= self.warmup_frac <= 1:
+            raise ValueError(f"warmup_frac must be in [0, 1], got {self.warmup_frac}")
+        if not 0 <= self.warmup_start_lr <= self.base_lr:
+            raise ValueError(
+                f"need 0 <= warmup_start_lr <= base_lr, got {self.warmup_start_lr} and {self.base_lr}"
+            )
+        if not self.clip_max_norm > 0:
+            raise ValueError(f"clip_max_norm must be positive, got {self.clip_max_norm}")
 
     def loss_weights(self) -> LossWeights:
         return LossWeights(self.lambda_coord, self.lambda_text)
@@ -121,25 +132,30 @@ def sample_losses(
     prompt_ids: Sequence[int],
     vocab: Vocabulary,
     tau: float,
+    *,
+    prompt: Tensor | None = None,
 ):
-    """Forward one sample: (coord loss in grid units, text loss)."""
+    """Forward one sample: (coord loss in grid units, text loss). The
+    prompt's projected latent is encoded from ``prompt_ids``, unless a
+    caller that shares one over many samples passes it as ``prompt``."""
     feats, amap = model.encode_image(Tensor(sample.image))
     gx, gy = soft_argmax(amap, tau)
     truth = pixel_to_grid(sample.hazard, model.config.patch_size)
     closs = coord_loss([(gx, gy)], [truth])
 
-    text_feats = model.encode_text(prompt_ids)
-    fused = model.fuse(model.project(feats, "image"), model.project(text_feats, "text"))
+    if prompt is None:
+        prompt = model.project(model.encode_text(prompt_ids), "text")
+    fused = model.fuse(model.project(feats, "image"), prompt)
     targets = tokenize(sample.caption, vocab)[1:]  # predict content + end token
     logits = model.decode_caption_teacher_forced(fused, targets)
     tloss = tz.cross_entropy(logits, targets)
     return closs, tloss
 
 
-def _batch_breakdown(model, batch, prompt_ids, vocab, cfg: TrainConfig):
+def _batch_breakdown(model, batch, prompt_ids, vocab, cfg: TrainConfig, prompt=None):
     coords, texts = [], []
     for sample in batch:
-        c, t = sample_losses(model, sample, prompt_ids, vocab, cfg.soft_argmax_tau)
+        c, t = sample_losses(model, sample, prompt_ids, vocab, cfg.soft_argmax_tau, prompt=prompt)
         coords.append(c)
         texts.append(t)
     coord = coords[0]
@@ -151,6 +167,19 @@ def _batch_breakdown(model, batch, prompt_ids, vocab, cfg: TrainConfig):
     coord = tz.scale(coord, 1.0 / len(batch))
     text = tz.scale(text, 1.0 / len(batch))
     return total_loss(coord, text, cfg.loss_weights())
+
+
+def _shared_prefix(model: HazardModel, prompt_ids: Sequence[int]):
+    """What every micro-batch of an accumulation group shares, since it
+    depends on the weights only: the view with each adapter merged
+    (``HazardModel.merged``) and the prompt's projected latent. Returns
+    the tape nodes that compute them, the view and the latent. A
+    micro-batch's tape starts with these nodes, so its backward carries
+    that micro-batch's gradient through them to the weights."""
+    with Tape() as tape:
+        view = model.merged()
+        prompt = view.project(view.encode_text(prompt_ids), "text")
+    return tape.nodes, view, prompt
 
 
 def train(
@@ -169,10 +198,16 @@ def train(
     views into one flat buffer for the run; on return every ``grad`` is
     None. A non-finite value inside the loop raises TrainingDiverged.
 
+    The weight-only work, merging the adapters and encoding the prompt,
+    runs once per accumulation group (``_shared_prefix``); each micro-batch
+    runs the per-scene work on top of it. At batch size 1 the gradients
+    have the bits of a forward that redoes it per sample; with more scenes
+    per micro-batch, the shared prompt latent sums theirs first.
+
     Each micro-batch's forward runs without the per-op NaN/Inf guard and
     checks its loss instead; when that is not finite, or a layer norm's
-    variance overflows, the same forward runs again with the guard on, so
-    the error names the op. A non-finite gradient fails
+    variance overflows, the shared work and the forward run again with the
+    guard on, so the error names the op. A non-finite gradient fails
     ``clip_grad_norm``'s check.
     """
     if not d_train:
@@ -201,6 +236,7 @@ def train(
 
     result = TrainResult(model=model)
     step = 0
+    prefix = None  # recorded at the first micro-batch of each accumulation group
     ema: float | None = None
     initial_raw: float | None = None
 
@@ -218,16 +254,22 @@ def train(
                 for start in range(0, n, cfg.batch_size):
                     batch = [d_train[i] for i in order[start : start + cfg.batch_size]]
                     try:
-                        with Tape() as tape, tz.finite_checks(False):
-                            breakdown = _batch_breakdown(model, batch, prompt_ids, vocab, cfg)
+                        with tz.finite_checks(False):
+                            if prefix is None:
+                                prefix = _shared_prefix(model, prompt_ids)
+                            nodes, view, prompt = prefix
+                            with Tape(nodes) as tape:
+                                breakdown = _batch_breakdown(view, batch, prompt_ids, vocab, cfg, prompt)
                         coord_v, text_v, raw = breakdown.values()
                         if not math.isfinite(raw):
                             raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {step}")
                     except (tz.NonFiniteError, TrainingDiverged):
-                        # again with the per-op guard, so the error names the
-                        # op that first produced a non-finite value
-                        with Tape(), tz.finite_checks(True):
-                            _batch_breakdown(model, batch, prompt_ids, vocab, cfg)
+                        # again with the per-op guard, prefix included, so the
+                        # error names the op that first produced a non-finite value
+                        with tz.finite_checks(True):
+                            nodes, view, prompt = _shared_prefix(model, prompt_ids)
+                            with Tape(nodes):
+                                _batch_breakdown(view, batch, prompt_ids, vocab, cfg, prompt)
                         raise
                     if initial_raw is None:
                         initial_raw = raw
@@ -262,6 +304,7 @@ def train(
                             log.flush()
                         step += 1
                         group_raw = []
+                        prefix = None  # the weights changed
                 result.val_reports.append(evaluate(model, d_val, vocab))
     except tz.NonFiniteError as exc:
         raise TrainingDiverged(f"{exc} at optimizer step {step}") from exc

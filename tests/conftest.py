@@ -74,6 +74,38 @@ def op_grad_cases(rng):
     a2223 = Tensor(rng.standard_normal((2, 2, 2, 3)), requires_grad=True)
     b2232 = Tensor(rng.standard_normal((2, 2, 3, 2)))
     w2222 = Tensor(rng.standard_normal((2, 2, 2, 2)))
+    # the fused ops: a linear layer's weight and bias; the attention core's
+    # queries (heads x n_q x dh, with a batch axis in front for rank 4),
+    # keys (... x dh x n_kv), a causal mask and the weights of its output;
+    # rows and heads for the head split and merge
+    lin_w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    lin_b = Tensor(rng.standard_normal(2), requires_grad=True)
+    q222 = Tensor(rng.standard_normal((2, 2, 2)), requires_grad=True)
+    k223 = Tensor(rng.standard_normal((2, 2, 3)), requires_grad=True)
+    q2222 = Tensor(rng.standard_normal((2, 2, 2, 2)), requires_grad=True)
+    k2223 = Tensor(rng.standard_normal((2, 2, 2, 3)), requires_grad=True)
+    causal = np.triu(np.full((2, 3), -1e9), k=2)
+    w223 = Tensor(rng.standard_normal((2, 2, 3)))
+    w2223 = Tensor(rng.standard_normal((2, 2, 2, 3)))
+    row4 = Tensor(rng.standard_normal((1, 4)), requires_grad=True)
+    heads232 = Tensor(rng.standard_normal((2, 3, 2)), requires_grad=True)
+    heads212 = Tensor(rng.standard_normal((2, 1, 2)), requires_grad=True)
+    w2232 = Tensor(rng.standard_normal((2, 2, 3, 2)))
+    w212 = Tensor(rng.standard_normal((2, 1, 2)))
+    w14 = Tensor(rng.standard_normal((1, 4)))
+
+    def attention(q, k, mask, w):
+        return T.tsum(T.mul(T.attention_weights(q, k, 0.7, mask), w))
+
+    attention_cases = []
+    for rank, q, k, w in ((3, q222, k223, w223), (4, q2222, k2223, w2223)):
+        for masked, mask in (("", None), ("_masked", causal)):
+            attention_cases += [
+                (f"attention_weights_q_rank{rank}{masked}", q,
+                 lambda t, k=k, mask=mask, w=w: attention(t, k, mask, w)),
+                (f"attention_weights_k_rank{rank}{masked}", k,
+                 lambda t, q=q, mask=mask, w=w: attention(q, t, mask, w)),
+            ]
     return [
         ("matmul", a34, lambda t: T.tsum(T.matmul(t, b42))),
         ("add", a34, lambda t: T.tsum(T.add(t, other))),
@@ -103,6 +135,19 @@ def op_grad_cases(rng):
         ("layer_norm_x", a34, lambda t: T.tsum(T.mul(T.layer_norm(t, gain, beta), other))),
         ("layer_norm_gain", gain, lambda t: T.tsum(T.mul(T.layer_norm(a34, t, beta), other))),
         ("layer_norm_bias", beta, lambda t: T.tsum(T.mul(T.layer_norm(a34, gain, t), other))),
+        ("linear_x", a34, lambda t: T.tsum(T.mul(T.linear(t, lin_w, lin_b), w32))),
+        ("linear_w", lin_w, lambda t: T.tsum(T.mul(T.linear(a34, t, lin_b), w32))),
+        ("linear_b", lin_b, lambda t: T.tsum(T.mul(T.linear(a34, lin_w, t), w32))),
+        ("linear_shared_x", a234, lambda t: T.tsum(T.mul(T.linear(t, lin_w, lin_b), w232))),
+        ("linear_shared_w", lin_w, lambda t: T.tsum(T.mul(T.linear(a234, t, lin_b), w232))),
+        ("linear_shared_b", lin_b, lambda t: T.tsum(T.mul(T.linear(a234, lin_w, t), w232))),
+        *attention_cases,
+        ("split_heads", a34, lambda t: T.tsum(T.mul(T.split_heads(t, 2), w232))),
+        ("split_heads_keys", a34, lambda t: T.tsum(T.mul(T.split_heads(t, 2, keys=True), w223))),
+        ("split_heads_batched", a234, lambda t: T.tsum(T.mul(T.split_heads(t, 2), w2232))),
+        ("split_heads_row", row4, lambda t: T.tsum(T.mul(T.split_heads(t, 2), w212))),
+        ("merge_heads", heads232, lambda t: T.tsum(T.mul(T.merge_heads(t), w34))),
+        ("merge_heads_row", heads212, lambda t: T.tsum(T.mul(T.merge_heads(t), w14))),
     ]
 
 

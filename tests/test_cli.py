@@ -284,7 +284,7 @@ def test_non_finite_base_weight_in_lora_training_exits_diverged(tmp_path, conf, 
                    "--mode", "lora", "--init-from", str(bad), *FAST_TRAIN])
     assert rc == EXIT_DIVERGED
     err = capsys.readouterr().err
-    assert err == "divergence: non-finite values produced by op 'matmul' at optimizer step 0\n"
+    assert err == "divergence: non-finite values produced by op 'linear' at optimizer step 0\n"
 
 
 @pytest.mark.parametrize(
@@ -549,7 +549,7 @@ def test_overflowing_checkpoint_is_data_error(tmp_path, conf, trained, capsys, c
     assert rc == EXIT_DATA
     captured = capsys.readouterr()
     assert captured.err.startswith("data error: ")
-    assert "non-finite values produced by op 'matmul'" in captured.err
+    assert "non-finite values produced by op 'linear'" in captured.err
     assert captured.out == ""
 
 
@@ -615,7 +615,7 @@ def test_checkpoint_overflowing_only_at_decode_is_data_error(tmp_path, conf, tra
     assert rc == EXIT_DATA
     captured = capsys.readouterr()
     assert captured.err.startswith("data error: checkpoint weights overflow: ")
-    assert "non-finite values produced by op 'matmul'" in captured.err
+    assert "non-finite values produced by op 'linear'" in captured.err
     assert captured.out == ""
 
 
@@ -690,6 +690,36 @@ def test_out_of_range_seed_is_usage_error_before_any_work(tmp_path, trained, cap
     assert captured.err == f"usage error: seed must be in [0, 2**64), got {seed}\n"
     assert captured.out == ""
     # no dataset, log, checkpoint, vocabulary or prediction
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+# each was a ValueError traceback from inside train, except clip_max_norm
+# -1, which trained and exited 0
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("soft_argmax_tau", "0"),
+        ("soft_argmax_tau", "nan"),
+        ("warmup_frac", "nan"),
+        ("warmup_frac", "2"),
+        ("base_lr", "-1"),
+        ("warmup_start_lr", "nan"),
+        ("clip_max_norm", "-1"),
+        ("clip_max_norm", "0"),
+    ],
+)
+def test_out_of_range_train_float_is_usage_error_before_any_work(tmp_path, conf, capsys, monkeypatch, key, value):
+    data = synth(tmp_path, conf)
+    (tmp_path / "bad.conf").write_text(SMALL_CONF + f"{key} = {value}\n")
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    rc = main(["train", "--config", "bad.conf", "--dataset", str(data), "--out", "x.ckpt", "--epochs", "1"])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: bad config: ") and key in captured.err
+    assert captured.out == ""
+    # no log, checkpoint or vocabulary
     assert sorted(tmp_path.rglob("*")) == before
 
 

@@ -386,7 +386,10 @@ def test_attention_matches_per_head_loop_bitwise(prefix, causal, cross):
 
 def test_training_sample_tape_pin():
     # attention batches its heads: the remaining slices are the text and
-    # decoder positional rows, the remaining concat is fuse
+    # decoder positional rows, the remaining concat is fuse. Every linear
+    # layer is one node, and so is each head split, head merge and
+    # attention core: the matmuls left are the 8 products with the values,
+    # the softmax left is soft_argmax's
     samples = synth_generate(1, SynthConfig(), seed=0)
     vocab = build_vocab([s.caption for s in samples] + [HAZARD_PROMPT])
     model = HazardModel(ModelConfig(vocab_size=len(vocab)), seed=0)
@@ -394,8 +397,10 @@ def test_training_sample_tape_pin():
     with tz.Tape() as tape:
         sample_losses(model, samples[0], prompt_ids, vocab, TrainConfig().soft_argmax_tau)
     ops = Counter(node.op for node in tape.nodes)
-    assert len(tape.nodes) == 260
-    assert (ops["matmul"], ops["slice_axis"], ops["softmax"], ops["concat"]) == (64, 2, 9, 1)
+    assert len(tape.nodes) == 162
+    assert (ops["matmul"], ops["slice_axis"], ops["softmax"], ops["concat"]) == (8, 2, 1, 1)
+    assert (ops["linear"], ops["split_heads"], ops["merge_heads"], ops["attention_weights"]) == (48, 24, 8, 8)
+    assert (ops["add"], ops["reshape"], ops["permute"], ops["scale"]) == (18, 2, 0, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +645,15 @@ def test_merged_view_is_bit_identical_and_leaves_the_model_alone(default_model):
     np.testing.assert_array_equal(view_amap.grid.data, amap.grid.data)
     assert not view.params.adapters
     assert model.lora_enabled and model.params.adapters
+    # built inside a tape, W + A.B stays on it, with the same bits
+    with tz.Tape() as tape:
+        recorded = model.merged()
+    adapters = len(model.params.adapters)
+    assert Counter(node.op for node in tape.nodes) == Counter(add=adapters, matmul=adapters)
+    for target in model.params.adapters:
+        assert recorded.params.tensors[target].requires_grad
+        assert not view.params.tensors[target].requires_grad
+        assert recorded.params.tensors[target].data.tobytes() == view.params.tensors[target].data.tobytes()
 
 
 # ---------------------------------------------------------------------------

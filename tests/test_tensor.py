@@ -246,6 +246,108 @@ def test_every_op_gradient_battery(seed):
 
 
 # ---------------------------------------------------------------------------
+# fused ops: the bits of the ops they replace
+# ---------------------------------------------------------------------------
+
+def _split_composed(x, heads, keys=False):
+    *lead, n, d = x.shape
+    lead, dh = tuple(lead), d // heads
+    if n == 1:
+        return T.reshape(x, lead + ((heads, dh, 1) if keys else (heads, 1, dh)))
+    b = len(lead)
+    axes = (b + 1, b + 2, b) if keys else (b + 1, b, b + 2)
+    return T.permute(T.reshape(x, lead + (n, heads, dh)), tuple(range(b)) + axes)
+
+
+def _merge_composed(x):
+    *lead, h, n, dh = x.shape
+    if n > 1:
+        b = len(lead)
+        x = T.permute(x, tuple(range(b)) + (b + 1, b, b + 2))
+    return T.reshape(x, tuple(lead) + (n, h * dh))
+
+
+def _attention_composed(q, k, scale, mask=None):
+    scores = T.scale(T.matmul(q, k), scale)
+    if mask is not None:
+        scores = T.add(scores, Tensor(mask))
+    return T.softmax(scores, axis=-1)
+
+
+_CAUSAL = np.triu(np.full((4, 5), -1e9, np.float32), k=2)
+
+# (name, fused op, composed ops, input shapes)
+FUSED = [
+    ("linear", T.linear, lambda x, w, b: T.add(T.matmul(x, w), b), [(5, 8), (8, 6), (6,)]),
+    ("linear_shared", T.linear, lambda x, w, b: T.add(T.matmul(x, w), b), [(3, 5, 8), (8, 6), (6,)]),
+    *[
+        (f"split_heads_{shape}_keys{keys}", lambda x, keys=keys: T.split_heads(x, 2, keys),
+         lambda x, keys=keys: _split_composed(x, 2, keys), [shape])
+        for shape in [(5, 8), (3, 5, 8), (1, 8), (3, 1, 8)]
+        for keys in (False, True)
+    ],
+    *[
+        (f"merge_heads_{shape}", T.merge_heads, _merge_composed, [shape])
+        for shape in [(2, 5, 4), (3, 2, 5, 4), (2, 1, 4), (3, 2, 1, 4)]
+    ],
+    *[
+        (f"attention_weights_{lead}_mask{mask is not None}",
+         lambda q, k, mask=mask: T.attention_weights(q, k, 0.35, mask),
+         lambda q, k, mask=mask: _attention_composed(q, k, 0.35, mask),
+         [(*lead, 4, 3), (*lead, 3, 5)])
+        for lead in [(2,), (3, 2)]
+        for mask in (None, _CAUSAL)
+    ],
+]
+
+
+@pytest.mark.parametrize("name, fused, composed, shapes", FUSED, ids=[case[0] for case in FUSED])
+def test_fused_op_gives_the_bits_of_the_composed_ops(name, fused, composed, shapes):
+    rng = np.random.default_rng(7)
+    arrays = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+    results = []
+    for op in (fused, composed):
+        parents = [Tensor(a, requires_grad=True) for a in arrays]
+        with Tape() as tape:
+            out = op(*parents)
+            weights = Tensor(np.random.default_rng(8).standard_normal(out.shape).astype(np.float32))
+            loss = T.tsum(T.mul(out, weights))
+        tape.backward(loss)
+        results.append((out.data, [p.grad for p in parents]))
+    (out, grads), (ref_out, ref_grads) = results
+    assert out.dtype == np.float32 and out.shape == ref_out.shape
+    assert out.tobytes() == ref_out.tobytes()
+    for g, ref in zip(grads, ref_grads):
+        assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
+
+
+def test_attention_weights_guard_checks_the_scores_before_the_softmax():
+    # a score of -inf has weight 0 and leaves its row finite; the guard
+    # still names the op, as it named the product before the fusion
+    q = Tensor(np.array([[[1.0, -3e38], [1.0, 1.0]]], np.float32))
+    k = Tensor(np.array([[[1.0, 1.0], [1.0, 3e38]]], np.float32))
+    with np.errstate(over="ignore"):
+        with T.finite_checks(False):
+            rows = T.attention_weights(q, k, 1.0)
+        assert np.isfinite(rows.data).all()
+        with pytest.raises(T.NonFiniteError, match="op 'attention_weights'"):
+            T.attention_weights(q, k, 1.0)
+
+
+def test_fused_op_shape_errors():
+    with pytest.raises(T.ShapeError):
+        T.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
+    with pytest.raises(T.ShapeError):
+        T.linear(Tensor(np.ones((2, 2, 2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(4)))
+    with pytest.raises(T.ShapeError):
+        T.split_heads(Tensor(np.ones((2, 6))), 4)
+    with pytest.raises(T.ShapeError):
+        T.merge_heads(Tensor(np.ones((2, 6))))
+    with pytest.raises(T.ShapeError):
+        T.attention_weights(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 3, 5))), 1.0)
+
+
+# ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------
 

@@ -40,6 +40,7 @@ from hazardvlm.training import (
     TrainingDiverged,
     Truncated,
     _batch_breakdown,
+    _shared_prefix,
     accumulate_gradients,
     apply_checkpoint,
     evaluate,
@@ -163,8 +164,9 @@ def _per_tensor_train(model, d_train, vocab, cfg):
     """``train`` as it was before the flat step, minus validation: every
     intermediate gets a grad buffer, micro-batch gradients are copied out
     and averaged as a list of dicts, and clipping and AdamW loop over the
-    tensors. Returns the optimizer state, one log tuple per step and the
-    step count."""
+    tensors. Each micro-batch encodes the prompt and takes every adapter
+    product itself, with no prefix shared over the group. Returns the
+    optimizer state, one log tuple per step and the step count."""
     n = len(d_train)
     total = cfg.epochs * math.ceil(math.ceil(n / cfg.batch_size) / cfg.grad_accum_steps)
     sched = ScheduleConfig(
@@ -240,6 +242,58 @@ def test_backward_writes_leaves_only_with_the_bits_of_writing_every_node(lora):
         assert g is not None and flat[name].tobytes() == g.tobytes(), name
 
 
+@pytest.mark.parametrize("lora", [False, True])
+def test_micro_batches_sharing_a_prefix_give_the_bits_of_recomputing_it(lora):
+    # two micro-batch tapes that start with one prefix's nodes, against two
+    # tapes that each encode the prompt and (LoRA) take A.B on every use
+    samples, vocab = make_dataset(2)
+    prompt_ids = tokenize(HAZARD_PROMPT, vocab)
+    cfg = quick_cfg()
+    leaf_grads = []
+    for shared in (True, False):
+        model = _lora_model(vocab) if lora else small_model(vocab, seed=1)
+        nodes, view, prompt = _shared_prefix(model, prompt_ids)
+        for sample in samples:
+            with Tape(nodes if shared else ()) as tape:
+                if shared:
+                    loss = _batch_breakdown(view, [sample], prompt_ids, vocab, cfg, prompt).total
+                else:
+                    loss = _batch_breakdown(model, [sample], prompt_ids, vocab, cfg).total
+            tape.backward(loss)
+        leaf_grads.append({n: t.grad for n, t in model.params.tensors.items() if t.requires_grad})
+    shared, recomputed = leaf_grads
+    assert shared.keys() == recomputed.keys()
+    for name, g in recomputed.items():
+        assert g is not None and shared[name].tobytes() == g.tobytes(), name
+
+
+def test_train_merges_and_encodes_the_prompt_once_per_accumulation_group(monkeypatch):
+    import hazardvlm.model as model_module
+
+    # 7 scenes in groups of 3: 3 groups an epoch, the last one partial
+    samples, vocab = make_dataset(7)
+    model = _lora_model(vocab)
+    merges, prompt_encodes = Counter(), []
+    effective_weight, encode_text = model_module.effective_weight, HazardModel.encode_text
+
+    def counting_effective_weight(w, adapter):
+        if tz.recording():  # not the validation's inference view
+            merges[adapter.target] += 1
+        return effective_weight(w, adapter)
+
+    def counting_encode_text(self, tokens):
+        if tz.recording():
+            prompt_encodes.append(list(tokens))
+        return encode_text(self, tokens)
+
+    monkeypatch.setattr(model_module, "effective_weight", counting_effective_weight)
+    monkeypatch.setattr(HazardModel, "encode_text", counting_encode_text)
+    res = train(model, samples, samples[:1], vocab, quick_cfg(epochs=2, mode="lora", grad_accum_steps=3))
+    assert len(res.logs) == 6
+    assert merges == Counter({target: 6 for target in model.params.adapters})
+    assert prompt_encodes == [tokenize(HAZARD_PROMPT, vocab)] * 6
+
+
 def test_non_finite_op_during_training_is_divergence():
     samples, vocab = make_dataset(6)
     model = small_model(vocab)
@@ -268,15 +322,15 @@ def _poisoned(vocab, mode, names, value):
 # runs unguarded, so each of these fails its loss check and is run again
 # guarded. An adapter is both of its factors: b starts at zero.
 POISONED = [
-    ("pretrain", ["vis.0.attn.wq"], NAN, "matmul"),
-    ("pretrain", ["vis.0.attn.wq"], 3e38, "matmul"),
-    ("pretrain", ["vis.patch_embed.b"], NAN, "add"),
+    ("pretrain", ["vis.0.attn.wq"], NAN, "linear"),
+    ("pretrain", ["vis.0.attn.wq"], 3e38, "linear"),
+    ("pretrain", ["vis.patch_embed.b"], NAN, "linear"),
     ("pretrain", ["txt.0.ln1.g"], NAN, "layer_norm"),
     ("pretrain", ["txt.0.ln1.g"], 3e38, "layer_norm"),
-    ("pretrain", ["proj.img.w"], NAN, "matmul"),
-    ("pretrain", ["proj.txt.b"], NAN, "add"),
+    ("pretrain", ["proj.img.w"], NAN, "linear"),
+    ("pretrain", ["proj.txt.b"], NAN, "linear"),
     ("pretrain", ["dec.pos"], NAN, "slice_axis"),
-    ("pretrain", ["dec.out.w"], 3e38, "matmul"),
+    ("pretrain", ["dec.out.w"], 3e38, "linear"),
     ("lora", ["dec.ln_f.b"], 3e38, "cross_entropy"),
     ("lora", ["dec.embed"], NAN, "take_rows"),
     ("lora", ["txt.embed"], 3e38, "layer_norm"),
@@ -631,7 +685,7 @@ def test_inference_failing_a_stage_check_reruns_guarded_to_name_the_op():
     images = Tensor(np.stack([s.image for s in samples]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
-        with pytest.raises(tz.NonFiniteError, match="produced by op 'matmul'") as caught:
+        with pytest.raises(tz.NonFiniteError, match="produced by op 'linear'") as caught:
             predict.batch(images)
         # the per-op guard is on again
         with pytest.raises(tz.NonFiniteError, match="op 'scale'"):
