@@ -18,7 +18,10 @@ sources of the checkout this script sits in:
   each micro-batch's loss sums two scenes;
 - ``eval`` of both checkpoints, in full and with ``--max-samples 7``;
 - ``predict`` of 4 images with both checkpoints, each ``--greedy``, with
-  the default nucleus sampling and with ``--seed 7``.
+  the default nucleus sampling and with ``--seed 7``;
+- the same ``predict`` runs, greedy and sampled, at ``temperature = 0.5``
+  from a ``--config`` file, so that the softmax both decoders share is
+  pinned at a second temperature.
 
 Every command runs inside OUTDIR with relative paths, and its exit code
 and standard output are saved under ``OUTDIR/stdout/``. The last step
@@ -46,7 +49,13 @@ from hazardvlm.data import load_dataset  # noqa: E402
 PRETRAIN = ["--epochs", "3", "--base-lr", "3e-3", "--grad-accum-steps", "1"]
 PRETRAIN_ACCUM3 = ["--epochs", "3", "--base-lr", "3e-3", "--grad-accum-steps", "3"]
 PRETRAIN_BATCH2 = ["--config", "batch2.conf", *PRETRAIN]
-PREDICT_MODES = {"greedy": ["--greedy"], "nucleus": [], "seed7": ["--seed", "7"]}
+PREDICT_MODES = {
+    "greedy": ["--greedy"],
+    "nucleus": [],
+    "seed7": ["--seed", "7"],
+    "t05-greedy": ["--config", "t05.conf", "--greedy"],
+    "t05-nucleus": ["--config", "t05.conf"],
+}
 N_IMAGES = 4
 
 
@@ -92,6 +101,7 @@ def main() -> int:
                                      "--max-samples", "7", "--out", f"eval-{ckpt}-max7"])
 
     samples, _ = load_dataset("scenes.jsonl")
+    Path("t05.conf").write_text("temperature = 0.5\n", encoding="utf-8")
     for i, sample in enumerate(samples[:N_IMAGES]):
         np.save(f"image{i}.npy", sample.image)
     for ckpt in ("base", "lora"):

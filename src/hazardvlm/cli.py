@@ -27,7 +27,7 @@ from .data import (
 )
 # unused here; the benchmark tracer patches these two names on this module
 from .localization import grid_to_pixel, hard_argmax  # noqa: F401
-from .model import HazardModel, ModelConfig, check_sampling
+from .model import HazardModel, ModelConfig, SamplingError, check_sampling
 from .optim import DivergenceError, convergence_probe, fitted_loglog_slope, probe_table
 from .tensor import NonFiniteError, Tensor
 from .training import (
@@ -406,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, SamplingError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, CheckpointError, FileNotFoundError) as exc:

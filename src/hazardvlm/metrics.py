@@ -46,12 +46,19 @@ class MetricsReport:
 
 
 def _ngrams(tokens: Tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    # the i-th tuple zip yields is tokens[i : i + n]
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def _overlap(cand: Counter, ref: Counter) -> int:
-    # counts are positive, so the intersection holds min(cand, ref) per gram
-    return sum((cand & ref).values())
+    """Size of the multiset intersection: min(cand, ref) summed per gram,
+    without building the intersection Counter."""
+    total = 0
+    for gram, count in cand.items():
+        other = ref.get(gram)
+        if other:
+            total += count if count < other else other
+    return total
 
 
 def bleu4(candidate: Tokens, reference: Tokens | Sequence[Tokens], smooth: bool = True) -> float:
@@ -124,19 +131,27 @@ def rouge_l(candidate: Tokens, reference: Tokens) -> float:
     m, n = len(candidate), len(reference)
     if m == 0 or n == 0:
         return 0.0
-    # classic O(m*n) DP, rolling rows
-    prev = [0] * (n + 1)
-    for i in range(1, m + 1):
-        cur = [0] * (n + 1)
-        ci = candidate[i - 1]
-        for j in range(1, n + 1):
-            if ci == reference[j - 1]:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = max(prev[j], cur[j - 1])
-        prev = cur
-    lcs = prev[n]
-    return _f1(lcs, m, n)
+    return _f1(_lcs_length(candidate, reference), m, n)
+
+
+def _lcs_length(candidate: Tokens, reference: Tokens) -> int:
+    """Length of the longest common subsequence, by the bit-parallel row
+    update of the LCS table (Allison and Dix 1986; Hyyro 2004).
+
+    Bit j of ``row`` is 1 where the table's current row does not step up
+    at reference position j, so the row's last entry, the LCS so far, is
+    the number of 0 bits. Each candidate token updates the whole row with
+    a few big-int operations, through the mask of the reference positions
+    that hold it."""
+    masks: dict[Token, int] = {}
+    for j, token in enumerate(reference):
+        masks[token] = masks.get(token, 0) | 1 << j
+    full = (1 << len(reference)) - 1
+    row = full
+    for token in candidate:
+        matched = row & masks.get(token, 0)
+        row = ((row + matched) | (row - matched)) & full
+    return len(reference) - row.bit_count()
 
 
 def pixel_mse(preds: Sequence, truths: Sequence) -> float:

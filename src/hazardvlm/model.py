@@ -519,13 +519,16 @@ class HazardModel:
         so its ids are those of a call on ``fused[i]`` alone. A scene that
         emits the end token leaves the batch and its cache rows. Each step's
         logits must be finite (``check_finite``), also when the per-op
-        guard is off."""
+        guard is off, and so must logits / temperature (``SamplingError``).
+        top_p 0 decodes greedily: each scene takes the first maximum of its
+        probabilities, and no rng is built."""
         check_sampling(top_p, temperature)
         if max_len > self.config.max_caption_len:
             raise ValueError(f"max_len {max_len} exceeds max caption length")
         lead = fused.shape[:-2]
         scenes = lead[0] if lead else 1
-        rngs = [np.random.default_rng(seed) for _ in range(scenes)]
+        greedy = top_p == 0.0
+        rngs = None if greedy else [np.random.default_rng(seed) for _ in range(scenes)]
         out: list[list[int]] = [[] for _ in range(scenes)]
         layers = range(self.config.decoder_layers)
         cache = DecodeCache([self._keys_values(fused, f"dec.{i}.cross") for i in layers])
@@ -536,12 +539,13 @@ class HazardModel:
         for _ in range(max_len):
             logits = self._decoder_states(fused, tokens, cache).data[..., -1, :]
             check_finite(logits, "decoder logits")
-            keep, probs = nucleus(logits.reshape(len(live), -1).astype(np.float64), top_p, temperature)
-            if top_p == 0.0:
-                # top_p 0 keeps one token at every step, so the draw is that
-                # token and the scene's rng, which nothing else reads, is skipped
-                drawn = keep[:, 0]
+            rows = logits.reshape(len(live), -1).astype(np.float64)
+            if greedy:
+                # the token nucleus keeps at top_p 0: the first maximum of the
+                # probabilities, which argmax finds without sorting
+                drawn = probabilities(rows, temperature).argmax(axis=1)
             else:
+                keep, probs = nucleus(rows, top_p, temperature)
                 drawn = np.array([rngs[s].choice(k, p=q) for s, k, q in zip(live, keep, probs)])
             going = drawn != END_ID
             for scene, token in zip(live[going], drawn[going]):
@@ -554,12 +558,19 @@ class HazardModel:
         return out if lead else out[0]
 
 
+class SamplingError(Exception):
+    """The logits divided by the temperature are not finite: the
+    temperature is too small for them. It is the caller's setting that is
+    at fault, not the model."""
+
+
 def check_sampling(top_p: float, temperature: float) -> None:
-    """Raise ValueError unless top_p is in [0, 1] and temperature > 0."""
+    """Raise ValueError unless top_p is in [0, 1] and temperature is
+    positive and finite."""
     if not 0.0 <= top_p <= 1.0:
         raise ValueError(f"top_p must be in [0, 1], got {top_p}")
-    if not temperature > 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    if not 0.0 < temperature < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
 
 
 def check_finite(values: np.ndarray, stage: str) -> None:
@@ -568,6 +579,23 @@ def check_finite(values: np.ndarray, stage: str) -> None:
     stage's output with this instead."""
     if not np.isfinite(values).all():
         raise tz.NonFiniteError(f"non-finite values in stage '{stage}'")
+
+
+def probabilities(rows: np.ndarray, temperature: float) -> np.ndarray:
+    """Softmax of each row of the R x V float64 logits ``rows`` divided by
+    ``temperature``: the probabilities ``nucleus`` ranks. SamplingError
+    when a quotient is not finite, as a temperature too small for the
+    logits makes it; the softmax would be NaN."""
+    # every quotient lies between those of the extremes, so checking these
+    # two as Python floats (NaN fails too) covers all, before numpy divides
+    # and warns of the overflow
+    if not (-math.inf < float(rows.min()) / temperature and float(rows.max()) / temperature < math.inf):
+        raise SamplingError(f"temperature {temperature} is too small: logits / temperature is not finite")
+    z = rows / temperature
+    z = z - z.max(axis=1, keepdims=True)
+    p = np.exp(z)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
 
 
 def nucleus(logits: np.ndarray, top_p: float, temperature: float):
@@ -581,12 +609,9 @@ def nucleus(logits: np.ndarray, top_p: float, temperature: float):
     least one token is always kept, so top_p -> 0 degenerates to greedy:
     the first maximum of the probabilities, which can differ from the
     first maximum of the logits when exp rounds two of them alike.
+    Raises SamplingError when logits / temperature is not finite.
     """
-    rows = np.atleast_2d(logits)
-    z = rows / temperature
-    z = z - z.max(axis=1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=1, keepdims=True)
+    p = probabilities(np.atleast_2d(logits), temperature)
     order = np.argsort(-p, axis=1, kind="stable")
     ranked = np.take_along_axis(p, order, axis=1)
     # the cumulative sum never falls, so counting the entries below top_p

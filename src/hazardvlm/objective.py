@@ -9,6 +9,7 @@ the text term (pixel-space MSE is an evaluation concern).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,10 +23,14 @@ class LossWeights:
     lambda_text: float = 1.0
 
     def __post_init__(self):
-        if self.lambda_coord < 0 or self.lambda_text < 0:
-            raise ValueError("loss weights must be non-negative")
+        # written as `not <valid>`, so NaN fails too
+        if not (0 <= self.lambda_coord < math.inf and 0 <= self.lambda_text < math.inf):
+            raise ValueError(
+                "loss weights must be finite and non-negative, got "
+                f"lambda_coord = {self.lambda_coord}, lambda_text = {self.lambda_text}"
+            )
         if self.lambda_coord == 0 and self.lambda_text == 0:
-            raise ValueError("at least one loss weight must be positive")
+            raise ValueError("at least one of lambda_coord and lambda_text must be positive")
 
 
 @dataclass

@@ -576,15 +576,17 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     parts = tuple(_as_tensor(p) for p in parts)
-    sizes = [p.shape[axis] for p in parts]
-    bounds = np.cumsum([0] + sizes)
 
     def bwd(g):
-        outs = []
-        for i in range(len(parts)):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(bounds[i], bounds[i + 1])
-            outs.append(g[tuple(sl)])
+        # each part's slice of g, its bounds worked out only when a backward
+        # needs them: the decode cache's concats never do
+        outs, start = [], 0
+        index = [slice(None)] * g.ndim
+        for p in parts:
+            stop = start + p.data.shape[axis]
+            index[axis] = slice(start, stop)
+            outs.append(g[tuple(index)])
+            start = stop
         return outs
 
     return _record("concat", parts, np.concatenate([p.data for p in parts], axis=axis), bwd)

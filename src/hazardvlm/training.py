@@ -79,6 +79,14 @@ class TrainConfig:
             )
         if not self.clip_max_norm > 0:
             raise ValueError(f"clip_max_norm must be positive, got {self.clip_max_norm}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not 0 < self.adam_eps < math.inf:
+            raise ValueError(f"adam_eps must be positive and finite, got {self.adam_eps}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and non-negative, got {self.weight_decay}")
+        self.loss_weights()  # LossWeights checks lambda_coord and lambda_text
 
     def loss_weights(self) -> LossWeights:
         return LossWeights(self.lambda_coord, self.lambda_text)

@@ -93,6 +93,10 @@ def op_grad_cases(rng):
     w2232 = Tensor(rng.standard_normal((2, 2, 3, 2)))
     w212 = Tensor(rng.standard_normal((2, 1, 2)))
     w14 = Tensor(rng.standard_normal((1, 4)))
+    # concat's other parts, of unequal widths either side of the input
+    c31 = Tensor(rng.standard_normal((3, 1)))
+    c32 = Tensor(rng.standard_normal((3, 2)))
+    w37 = Tensor(rng.standard_normal((3, 7)))
 
     def attention(q, k, mask, w):
         return T.tsum(T.mul(T.attention_weights(q, k, 0.7, mask), w))
@@ -132,6 +136,7 @@ def op_grad_cases(rng):
         ("take_rows", a34, lambda t: T.tsum(T.mul(T.take_rows(t, [2, 0, 2]), w34))),
         ("slice_axis", a34, lambda t: T.tsum(T.mul(T.slice_axis(t, 1, 1, 3), w32))),
         ("concat", a34, lambda t: T.tsum(T.mul(T.concat([t, other], axis=0), w64))),
+        ("concat_three_axis1", a34, lambda t: T.tsum(T.mul(T.concat([c31, t, c32], axis=1), w37))),
         ("layer_norm_x", a34, lambda t: T.tsum(T.mul(T.layer_norm(t, gain, beta), other))),
         ("layer_norm_gain", gain, lambda t: T.tsum(T.mul(T.layer_norm(a34, t, beta), other))),
         ("layer_norm_bias", beta, lambda t: T.tsum(T.mul(T.layer_norm(a34, gain, t), other))),

@@ -646,6 +646,7 @@ def test_checkpoint_with_a_huge_stored_config_is_data_error(tmp_path, conf, trai
     "command, line",
     [
         ("train", "epochs = 0"), ("train", "patch_size = 5"), ("predict", "temperature = 0"),
+        ("predict", "temperature = inf"), ("predict", "temperature = nan"),
         ("predict", "top_p = 1.5"), ("synth", "patch_size = 0"), ("train", "heads = 0"),
         ("train", "encoder_layers = 0"),
     ],
@@ -665,6 +666,27 @@ def test_config_value_the_library_rejects_is_usage_error(tmp_path, trained, caps
     rc = main([*argv, "--config", str(bad)])
     assert rc == EXIT_USAGE
     assert capsys.readouterr().err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("greedy", [True, False], ids=["greedy", "sampled"])
+def test_temperature_too_small_for_the_logits_is_usage_error(tmp_path, trained, capsys, greedy):
+    # positive and finite, but logits / temperature overflows: sampling
+    # raised on NaN probabilities, and greedy decoding picked from them
+    data, ckpt = trained
+    img = tmp_path / "img.npy"
+    np.save(img, load_dataset(data)[0][0].image)
+    bad = tmp_path / "tiny-t.conf"
+    bad.write_text(SMALL_CONF + "temperature = 1e-320\n")
+    out = tmp_path / "pred.txt"
+    argv = ["predict", "--checkpoint", str(ckpt), "--image", str(img), "--config", str(bad), "--out", str(out)]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv + ["--greedy"] * greedy)
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: temperature 1e-320 is too small: logits / temperature is not finite\n"
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["synth", "train", "predict"])
@@ -693,8 +715,10 @@ def test_out_of_range_seed_is_usage_error_before_any_work(tmp_path, trained, cap
     assert sorted(tmp_path.rglob("*")) == before
 
 
-# each was a ValueError traceback from inside train, except clip_max_norm
-# -1, which trained and exited 0
+# each was a ValueError traceback from inside train (lambda_coord -1 too),
+# a run that ended in exit 3 "divergence" (both betas, adam_eps 0, and the
+# NaN or infinite weights), or a run that trained and exited 0
+# (clip_max_norm -1, weight_decay -1, adam_eps inf)
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -706,6 +730,17 @@ def test_out_of_range_seed_is_usage_error_before_any_work(tmp_path, trained, cap
         ("warmup_start_lr", "nan"),
         ("clip_max_norm", "-1"),
         ("clip_max_norm", "0"),
+        ("beta1", "1.0"),
+        ("beta1", "nan"),
+        ("beta2", "-1"),
+        ("beta2", "1.0"),
+        ("adam_eps", "0"),
+        ("adam_eps", "inf"),
+        ("weight_decay", "nan"),
+        ("weight_decay", "-1"),
+        ("lambda_coord", "nan"),
+        ("lambda_coord", "-1"),
+        ("lambda_text", "inf"),
     ],
 )
 def test_out_of_range_train_float_is_usage_error_before_any_work(tmp_path, conf, capsys, monkeypatch, key, value):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hazardvlm.localization import PixelPoint
-from hazardvlm.metrics import MetricsReport, bleu4, corpus_report, pixel_mse, rouge_l, rouge_n
+from hazardvlm.metrics import MetricsReport, _lcs_length, _ngrams, bleu4, corpus_report, pixel_mse, rouge_l, rouge_n
 
 tokens = st.lists(st.sampled_from("abcdef"), min_size=0, max_size=10)
 
@@ -259,6 +259,26 @@ def _reference_rouge_n(candidate, reference, n):
     return 2.0 * precision * recall / (precision + recall)
 
 
+def _reference_lcs(a, b):
+    """The O(len(a) * len(b)) dynamic program over the LCS table, one
+    rolling row: the oracle for rouge_l's bit-parallel update."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b):
+            cur.append(prev[j] + 1 if x == y else max(prev[j + 1], cur[j]))
+        prev = cur
+    return prev[-1]
+
+
+def _reference_rouge_l(candidate, reference):
+    lcs = _reference_lcs(candidate, reference)
+    if lcs == 0:
+        return 0.0
+    precision, recall = lcs / len(candidate), lcs / len(reference)
+    return 2.0 * precision * recall / (precision + recall)
+
+
 nonempty = st.lists(st.sampled_from("abcd"), min_size=1, max_size=12)
 
 
@@ -284,9 +304,48 @@ def test_corpus_report_gives_the_bits_of_per_metric_calls(pairs):
         b += _reference_bleu4(cand, [ref])
         r1 += _reference_rouge_n(cand, ref, 1)
         r2 += _reference_rouge_n(cand, ref, 2)
-        rl += rouge_l(cand, ref)
+        rl += _reference_rouge_l(cand, ref)
     n = len(pairs)
     assert (report.bleu4, report.rouge1, report.rouge2, report.rougeL) == (b / n, r1 / n, r2 / n, rl / n)
+
+
+# str and int tokens from small alphabets, so sequences repeat tokens;
+# either side may be empty
+def _token_lists(min_size=0):
+    alphabet = st.one_of(st.just("ab"), st.just(("a", "b", "c", 1, 2)), st.just((0, 1, 2, 3, 4, 5)))
+    return alphabet.flatmap(lambda a: st.lists(st.sampled_from(a), min_size=min_size, max_size=20))
+
+
+@given(_token_lists(), _token_lists(), _token_lists(min_size=1))
+@settings(max_examples=300, deadline=None)
+def test_metrics_give_the_bits_of_the_reference_implementations(cand, ref, nonempty_ref):
+    for n in range(1, 6):
+        assert _ngrams(cand, n) == _reference_ngrams(cand, n)
+    assert _lcs_length(cand, ref) == _reference_lcs(cand, ref)
+    assert rouge_l(cand, ref) == _reference_rouge_l(cand, ref)
+    for n in (1, 2):
+        assert rouge_n(cand, ref, n) == _reference_rouge_n(cand, ref, n)
+    assert bleu4(cand, nonempty_ref) == _reference_bleu4(cand, [nonempty_ref])
+    refs, cands = [nonempty_ref, nonempty_ref], [cand, ref]
+    pts = [PixelPoint(0.0, 1.0), PixelPoint(2.0, 0.5)]
+    report = corpus_report(refs, pts, cands, pts)
+    n = len(refs)
+    want = (
+        sum(_reference_bleu4(c, [r]) for c, r in zip(cands, refs)) / n,
+        sum(_reference_rouge_n(c, r, 1) for c, r in zip(cands, refs)) / n,
+        sum(_reference_rouge_n(c, r, 2) for c, r in zip(cands, refs)) / n,
+        sum(_reference_rouge_l(c, r) for c, r in zip(cands, refs)) / n,
+    )
+    assert (report.bleu4, report.rouge1, report.rouge2, report.rougeL) == want
+
+
+@pytest.mark.parametrize("length", [63, 64, 65, 200])
+def test_lcs_past_one_machine_word(length):
+    # the bit rows are Python ints, so a reference longer than 64 tokens works
+    rng = np.random.default_rng(length)
+    cand, ref = rng.integers(0, 4, length).tolist(), rng.integers(0, 4, length + 7).tolist()
+    assert _lcs_length(cand, ref) == _reference_lcs(cand, ref)
+    assert _lcs_length(ref, cand) == _reference_lcs(ref, cand)
 
 
 def test_corpus_report_rejects_an_empty_reference():

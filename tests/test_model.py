@@ -13,10 +13,12 @@ from hazardvlm.model import (
     HazardModel,
     LoRAAdapter,
     ModelConfig,
+    SamplingError,
     effective_weight,
     lora_target_names,
     nucleus,
     patchify,
+    probabilities,
 )
 from hazardvlm.tensor import Tensor, grad_check
 from hazardvlm.training import HAZARD_PROMPT, TrainConfig, sample_losses
@@ -558,10 +560,109 @@ def test_generate_validates_arguments(tiny_model):
     fused = _fused(tiny_model)
     with pytest.raises(ValueError):
         tiny_model.generate(fused, max_len=4, top_p=1.5)
-    with pytest.raises(ValueError):
-        tiny_model.generate(fused, max_len=4, temperature=0.0)
+    for temperature in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            tiny_model.generate(fused, max_len=4, temperature=temperature)
     with pytest.raises(ValueError):
         tiny_model.generate(fused, max_len=TINY.max_caption_len + 1)
+
+
+def test_generate_rejects_a_temperature_too_small_for_the_logits(tiny_model):
+    fused = _fused(tiny_model)
+    # positive and finite, but logits / temperature overflows, and its
+    # softmax would be NaN
+    for top_p in (0.0, 0.9):
+        with pytest.raises(SamplingError, match="too small"):
+            tiny_model.generate(fused, max_len=4, top_p=top_p, temperature=1e-320)
+    assert not issubclass(SamplingError, ValueError)
+
+
+def test_probabilities_reject_quotients_that_are_not_finite():
+    # an overflow at either end of a row, or a NaN
+    for rows in ([[1.0, -1.0]], [[0.0, -1.0]], [[-1.0, -2.0]], [[0.5, 0.2], [-3.0, -4.0]]):
+        with pytest.raises(SamplingError):
+            probabilities(np.array(rows), 1e-320)
+    with pytest.raises(SamplingError):
+        probabilities(np.array([[0.0, np.nan]]), 1.0)
+    # large but finite quotients
+    assert probabilities(np.array([[0.0, -1.0]]), 1e-300).tolist() == [[1.0, 0.0]]
+
+
+class _ScriptedDecoder:
+    """Stands in for ``_decoder_states``: random float32 logits for each
+    live row, recorded per step. In every other row, two tokens share the
+    top logit up to 1e-17, which exp rounds away, so their probabilities
+    tie although the later token's logit is larger."""
+
+    def __init__(self, vocab, seed):
+        self.vocab = vocab
+        self.rng = np.random.default_rng(seed)
+        self.steps = []
+
+    def __call__(self, fused, tokens, cache):
+        rows = len(tokens)
+        logits = self.rng.normal(0.0, 2.0, (rows, self.vocab))
+        for r in range(0, rows, 2):
+            first, second = np.sort(self.rng.choice(self.vocab, 2, replace=False))
+            logits[r] = -np.abs(logits[r]) - 1.0
+            logits[r, first], logits[r, second] = 0.0, 1e-17
+        logits = logits.astype(np.float32)
+        self.steps.append(logits)
+        return Tensor(logits[:, None, :])
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.5, 0.95])
+@pytest.mark.parametrize("seed", range(4))
+def test_greedy_generate_picks_the_first_token_nucleus_keeps(tiny_model, monkeypatch, seed, temperature):
+    scenes = 7
+    fused = Tensor(np.stack([_fused(tiny_model, seed=i).data for i in range(scenes)]))
+    decoder = _ScriptedDecoder(TINY.vocab_size, seed)
+    monkeypatch.setattr(tiny_model, "_decoder_states", decoder)
+    ids = tiny_model.generate(fused, TINY.max_caption_len, top_p=0.0, temperature=temperature)
+    # replay the recorded steps, each token being what nucleus keeps at top_p 0
+    from hazardvlm.model import END_ID
+
+    want = [[] for _ in range(scenes)]
+    live = np.arange(scenes)
+    ties = 0
+    for logits in decoder.steps:
+        assert len(logits) == len(live)
+        keep, _ = nucleus(logits.astype(np.float64), 0.0, temperature)
+        picks = keep[:, 0]
+        ties += int((picks != logits.argmax(axis=1)).sum())
+        for scene, token in zip(live, picks):
+            if token != END_ID:
+                want[scene].append(int(token))
+        live = live[picks != END_ID]
+    assert ids == want
+    assert ties  # the rows where the first maximum of the logits differs
+
+
+def test_greedy_decoding_builds_no_rng_and_sampling_one_per_scene(tiny_model, monkeypatch):
+    from hazardvlm import model as model_module
+
+    fused = Tensor(np.stack([_fused(tiny_model, seed=i).data for i in range(3)]))
+    default_rng = np.random.default_rng
+    seeds = []
+
+    def refusing_rng(*args, **kwargs):
+        raise AssertionError("greedy decoding built an rng")
+
+    def counting_rng(seed):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    with monkeypatch.context() as m:
+        m.setattr(model_module.np.random, "default_rng", refusing_rng)
+        greedy = tiny_model.generate(fused, TINY.max_caption_len, top_p=0.0)
+    assert greedy == tiny_model.generate(fused, TINY.max_caption_len, top_p=0.0)
+    with monkeypatch.context() as m:
+        m.setattr(model_module.np.random, "default_rng", counting_rng)
+        sampled = tiny_model.generate(fused, TINY.max_caption_len, top_p=0.9, seed=11)
+    assert seeds == [11, 11, 11]
+    for i in range(3):
+        alone = tiny_model.generate(Tensor(fused.data[i]), TINY.max_caption_len, top_p=0.9, seed=11)
+        assert sampled[i] == alone
 
 
 def _full_recompute_generate(model, fused, max_len, top_p, temperature, seed):
