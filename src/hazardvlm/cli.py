@@ -40,6 +40,7 @@ from .training import (
     evaluate,
     load_checkpoint,
     restore_model,
+    save_checkpoint,
     train,
 )
 
@@ -61,8 +62,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 # Library config fields no config key sets: the vocabulary size comes from
-# the data, the divergence guard is fixed, and the output paths are flags.
-_NOT_CONFIGURABLE = {"vocab_size", "ema_alpha", "divergence_factor", "checkpoint_path", "log_path"}
+# the data, and the log path is a flag.
+_NOT_CONFIGURABLE = {"vocab_size", "log_path"}
 # keys only the command line reads: (name, type, default)
 _CLI_ONLY = [
     ("val_fraction", "float", 0.2),
@@ -163,6 +164,17 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, key, flag)
     if not 0 <= cfg.seed < 2**64:  # seeds numpy and a checkpoint's u64 field
         raise UsageError(f"seed must be in [0, 2**64), got {cfg.seed}")
+    # the CLI-only keys, written as `not <valid>` so that NaN fails
+    if not 0 < cfg.val_fraction < 1:
+        raise UsageError(f"val_fraction must be in (0, 1), got {cfg.val_fraction}")
+    if not cfg.synth_n >= 1:
+        raise UsageError(f"synth_n must be at least 1, got {cfg.synth_n}")
+    if not cfg.max_samples >= 0:
+        raise UsageError(f"max_samples must be >= 0 (0: no cap), got {cfg.max_samples}")
+    try:
+        check_sampling(cfg.top_p, cfg.temperature)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     config_for(TrainConfig, cfg)  # its checks, before any work
     return cfg
 
@@ -243,10 +255,11 @@ def cmd_train(args) -> int:
             f"(first at sample {overlong[0]})"
         )
 
-    train_cfg = config_for(TrainConfig, cfg, checkpoint_path=args.out, log_path=log_path)
+    train_cfg = config_for(TrainConfig, cfg, log_path=log_path)
 
     print(cfg.as_text())
     result = train(model, d_train, d_val, vocab, train_cfg)
+    save_checkpoint(model, None, args.out, step=len(result.logs), epoch=cfg.epochs, seed=cfg.seed)
     vocab.save(_vocab_path(args.out))
 
     final = result.val_reports[-1]
@@ -282,8 +295,6 @@ def _restore_model(checkpoint: str, vocab_file: str | None, lora_rank: int | Non
 
 def cmd_eval(args) -> int:
     cfg = build_run_config(args)
-    if cfg.max_samples < 0:
-        raise UsageError(f"max_samples must be >= 0 (0: no cap), got {cfg.max_samples}")
     model, vocab = _restore_model(args.checkpoint, args.vocab)
     samples = _load_samples(args.dataset, model.config)
     report = evaluate(model, samples, vocab, max_samples=cfg.max_samples or None)
@@ -298,10 +309,6 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     cfg = build_run_config(args)
     top_p = 0.0 if args.greedy else cfg.top_p
-    try:
-        check_sampling(top_p, cfg.temperature)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     model, vocab = _restore_model(args.checkpoint, args.vocab)
     try:
         image = load_image(args.image)

@@ -56,12 +56,21 @@ class RecordError:
         return f"line {self.line}: [{self.category}] {self.message}"
 
 
+class _Rejected(Exception):
+    """A record's fault, raised with the RecordError category it is filed
+    under."""
+
+    def __init__(self, category: str, message: str):
+        super().__init__(message)
+        self.category = category
+
+
 def load_image(value, image_root: Path | None = None) -> np.ndarray:
     """A C x S x S float32 image from a .npy path or a nested array.
 
     Raises FileNotFoundError for a missing file and ValueError for an
     unreadable, malformed, non-numeric (not bool, integer or floating),
-    non-square, non-finite or out-of-[0, 1] image."""
+    non-square, empty, non-finite or out-of-[0, 1] image."""
     if isinstance(value, str):
         path = Path(value)
         if image_root is not None and not path.is_absolute():
@@ -88,6 +97,8 @@ def load_image(value, image_root: Path | None = None) -> np.ndarray:
         raise ValueError(f"image must be C x S x S, got shape {arr.shape}")
     if arr.shape[1] != arr.shape[2]:
         raise ValueError(f"image must be square, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError(f"image must not be empty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("image contains non-finite values")
     if arr.min() < 0.0 or arr.max() > 1.0:
@@ -95,59 +106,48 @@ def load_image(value, image_root: Path | None = None) -> np.ndarray:
     return arr
 
 
-def _parse_record(record: dict, image_root: Path | None) -> AnnotatedSample:
+def _parse_record(record, image_root: Path | None) -> AnnotatedSample:
+    """The sample a decoded JSON record describes; _Rejected otherwise."""
+    if not isinstance(record, dict):
+        raise _Rejected("schema", "record must be a JSON object")
+    # the key messages are printed quoted
     unknown = set(record) - {"image", "hazard", "caption", "category"}
     if unknown:
-        raise KeyError(f"unknown keys {sorted(unknown)}")
+        raise _Rejected("schema", repr(f"unknown keys {sorted(unknown)}"))
     for key in ("image", "hazard", "caption"):
         if key not in record:
-            raise KeyError(f"missing key '{key}'")
+            raise _Rejected("schema", repr(f"missing key '{key}'"))
 
-    image = load_image(record["image"], image_root)
+    try:
+        image = load_image(record["image"], image_root)
+    except (ValueError, FileNotFoundError) as exc:
+        raise _Rejected("image", str(exc)) from exc
     size = image.shape[1]
 
     hazard = record["hazard"]
     if not isinstance(hazard, (list, tuple)) or len(hazard) != 2:
-        raise ValueError("hazard must be a single [x, y] point")
+        raise _Rejected("hazard", "hazard must be a single [x, y] point")
     x, y = hazard
+    # compared, not converted: an integer too large for a float is finite
     if not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        isinstance(v, (int, float)) and not isinstance(v, bool) and -math.inf < v < math.inf
         for v in (x, y)
     ):
-        raise ValueError("hazard coordinates must be finite numbers")
+        raise _Rejected("hazard", "hazard coordinates must be finite numbers")
     if not (0 <= x < size and 0 <= y < size):
-        raise ValueError(f"hazard ({x}, {y}) outside image bounds [0, {size})")
+        raise _Rejected("hazard", f"hazard ({x}, {y}) outside image bounds [0, {size})")
 
     caption = record["caption"]
     if not isinstance(caption, str) or not caption.strip():
-        raise ValueError("caption must be a non-empty string")
+        raise _Rejected("caption", "caption must be a non-empty string")
 
     category = record.get("category")
     if category is not None and category not in VALID_CATEGORIES:
-        raise ValueError(f"category must be one of {VALID_CATEGORIES}")
+        raise _Rejected("schema", f"category must be one of {VALID_CATEGORIES}")
 
     return AnnotatedSample(
         image=image, hazard=PixelPoint(float(x), float(y)), caption=caption, category=category
     )
-
-
-_ERROR_CATEGORY = {
-    "image": ("image file", "image array", "image must", "image values", "image contains"),
-    "hazard": ("hazard",),
-    "caption": ("caption",),
-}
-
-
-def _categorize(exc: Exception) -> str:
-    if isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError)):
-        return "json"
-    if isinstance(exc, (FileNotFoundError,)):
-        return "image"
-    text = str(exc)
-    for category, prefixes in _ERROR_CATEGORY.items():
-        if any(text.startswith(p) for p in prefixes):
-            return category
-    return "schema"
 
 
 def load_dataset(
@@ -172,11 +172,14 @@ def load_dataset(
                     continue
                 try:
                     record = json.loads(line.encode("utf-8", "surrogateescape").decode("utf-8"))
-                    if not isinstance(record, dict):
-                        raise ValueError("record must be a JSON object")
                     samples.append(_parse_record(record, root))
+                except _Rejected as exc:
+                    errors.append(RecordError(line=lineno, category=exc.category, message=str(exc)))
+                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                    errors.append(RecordError(line=lineno, category="json", message=str(exc)))
                 except Exception as exc:  # noqa: BLE001 - every failure becomes a diagnostic
-                    errors.append(RecordError(line=lineno, category=_categorize(exc), message=str(exc)))
+                    # one the parser does not raise, such as JSON nested too deep
+                    errors.append(RecordError(line=lineno, category="schema", message=str(exc)))
     except OSError as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
     return samples, errors
@@ -316,14 +319,21 @@ class SynthConfig:
         check_sizes(self)
         if self.image_size % self.patch_size:
             raise DataError("image_size must be divisible by patch_size")
-        if self.blob_peak < 0.8:
-            raise DataError("blob peak must be at least 0.8 to dominate the noise")
+        # written as `not <valid>`, so NaN fails every check
+        if not 0 < self.blob_sigma < math.inf:
+            raise DataError(f"blob_sigma must be positive and finite, got {self.blob_sigma}")
+        if not 0 <= self.noise_high < math.inf:
+            raise DataError(f"noise_high must be finite and non-negative, got {self.noise_high}")
+        if not 0.8 <= self.blob_peak < math.inf:
+            raise DataError(f"blob_peak must be finite and at least 0.8 to dominate the noise, got {self.blob_peak}")
+        if 3.0 * self.blob_sigma > self.image_size:
+            raise DataError("blob radius exceeds the image")
+        if not np.float32(2.0 * self.blob_sigma**2) > 0:  # synth_generate divides by it
+            raise DataError(f"blob_sigma {self.blob_sigma} is too small: 2 * blob_sigma**2 is 0 in float32")
         # keep the blob center the argmax: the brightest non-center pixel is
         # bounded by noise_high + peak * exp(-1/(2 sigma^2))
         if self.noise_high + self.blob_peak * math.exp(-1.0 / (2.0 * self.blob_sigma**2)) >= self.blob_peak:
             raise DataError("noise/sigma combination lets neighbors outshine the blob center")
-        if 3.0 * self.blob_sigma > self.image_size:
-            raise DataError("blob radius exceeds the image")
 
 
 def patch_center(coord: int, patch_size: int) -> int:

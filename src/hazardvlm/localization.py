@@ -8,7 +8,6 @@ convention: pixel = g * p + p/2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,6 @@ from . import tensor as tz
 from .tensor import Tensor
 
 LOG_EPS = 1e-8
-DEFAULT_TAU = 0.5
 
 
 @dataclass
@@ -48,22 +46,17 @@ class PixelPoint:
     y: float
 
 
-def aggregate_heads(per_head: Tensor, grid_shape: tuple[int, int] | None = None) -> AttentionMap:
+def aggregate_heads(per_head: Tensor, grid_shape: tuple[int, int]) -> AttentionMap:
     """Reduce h x n x n per-head attention to one mass per key position, or
     each of a B x h x n x n stack to a stack of B maps.
 
     Mean over heads, then over query positions, renormalized and reshaped
-    to the (square by default) patch grid. Stays on the tape, so training
+    to the patch grid ``grid_shape``. Stays on the tape, so training
     gradients flow back into the attention weights.
     """
     if per_head.data.ndim not in (3, 4) or per_head.shape[-2] != per_head.shape[-1]:
         raise ValueError(f"expected h x n x n attention or a stack of them, got {per_head.shape}")
     *lead, _, n, _ = per_head.shape
-    if grid_shape is None:
-        side = math.isqrt(n)
-        if side * side != n:
-            raise ValueError(f"{n} key positions do not form a square grid")
-        grid_shape = (side, side)
     if grid_shape[0] * grid_shape[1] != n:
         raise ValueError(f"grid {grid_shape} incompatible with {n} positions")
     mass = tz.mean(tz.mean(per_head, axis=-3), axis=-2)
@@ -79,7 +72,7 @@ def hard_argmax(a: AttentionMap):
     return cells if a.grid.data.ndim == 3 else cells[0]
 
 
-def soft_argmax(a: AttentionMap, tau: float = DEFAULT_TAU) -> tuple[Tensor, Tensor]:
+def soft_argmax(a: AttentionMap, tau: float) -> tuple[Tensor, Tensor]:
     """Differentiable surrogate: sharpened-map expectation of grid coords.
 
     The map is re-sharpened via softmax(log(A + eps)/tau); as tau -> 0 the

@@ -598,29 +598,24 @@ def probabilities(rows: np.ndarray, temperature: float) -> np.ndarray:
     return p
 
 
-def nucleus(logits: np.ndarray, top_p: float, temperature: float):
+def nucleus(rows: np.ndarray, top_p: float, temperature: float):
     """Smallest probability-sorted prefix with mass >= top_p, renormalized,
-    of one row of V logits, or of each row of an R x V stack with one
-    softmax, one stable sort and one cumulative sum over all the rows.
+    of each row of an R x V stack of logits, with one softmax, one stable
+    sort and one cumulative sum over all the rows.
 
-    Returns (kept token indices, their probabilities) for a row. For a
-    stack, each holds one entry per row: an R x c array when every row
-    keeps c tokens, as top_p 0 always gives, else a list of R arrays. At
-    least one token is always kept, so top_p -> 0 degenerates to greedy:
-    the first maximum of the probabilities, which can differ from the
-    first maximum of the logits when exp rounds two of them alike.
-    Raises SamplingError when logits / temperature is not finite.
+    Returns (kept token indices, their probabilities): two lists of R
+    arrays, one per row. At least one token is always kept, so top_p -> 0
+    degenerates to greedy: the first maximum of the probabilities, which
+    can differ from the first maximum of the logits when exp rounds two of
+    them alike. Raises SamplingError when logits / temperature is not
+    finite.
     """
-    p = probabilities(np.atleast_2d(logits), temperature)
+    p = probabilities(rows, temperature)
     order = np.argsort(-p, axis=1, kind="stable")
     ranked = np.take_along_axis(p, order, axis=1)
     # the cumulative sum never falls, so counting the entries below top_p
     # finds its first entry >= top_p
     cut = np.clip((np.cumsum(ranked, axis=1) < top_p).sum(axis=1) + 1, 1, p.shape[1])
-    if (cut == cut[0]).all():
-        keep, kept = order[:, : cut[0]], ranked[:, : cut[0]]
-        probs = kept / kept.sum(axis=1, keepdims=True)
-    else:
-        keep = [row[:c] for row, c in zip(order, cut)]
-        probs = [row[:c] / row[:c].sum() for row, c in zip(ranked, cut)]
-    return (keep[0], probs[0]) if logits.ndim == 1 else (keep, probs)
+    keep = [row[:c] for row, c in zip(order, cut)]
+    probs = [row[:c] / row[:c].sum() for row, c in zip(ranked, cut)]
+    return keep, probs

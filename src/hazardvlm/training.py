@@ -31,7 +31,11 @@ from .tensor import Tape, Tensor
 # defines one, so the synthetic task fixes this instruction string.
 HAZARD_PROMPT = "identify the hazard."
 
-LOG_HEADER = "step,loss,loss_smooth,coord_loss,text_loss,lr,grad_norm"
+# The step log's smoothed loss is an exponential moving average with this
+# weight on the newest step; a loss above DIVERGENCE_FACTOR times the first
+# micro-batch's raises TrainingDiverged.
+EMA_ALPHA = 0.1
+DIVERGENCE_FACTOR = 100.0
 
 
 class TrainingDiverged(RuntimeError):
@@ -56,9 +60,6 @@ class TrainConfig:
     soft_argmax_tau: float = 0.5
     seed: int = 0
     mode: str = "pretrain"  # "pretrain" | "lora"
-    ema_alpha: float = 0.1
-    divergence_factor: float = 100.0
-    checkpoint_path: str | None = None
     log_path: str | None = None
 
     def __post_init__(self):
@@ -73,9 +74,9 @@ class TrainConfig:
             raise ValueError(f"soft_argmax_tau must be positive, got {self.soft_argmax_tau}")
         if not 0 <= self.warmup_frac <= 1:
             raise ValueError(f"warmup_frac must be in [0, 1], got {self.warmup_frac}")
-        if not 0 <= self.warmup_start_lr <= self.base_lr:
+        if not 0 <= self.warmup_start_lr <= self.base_lr < math.inf:
             raise ValueError(
-                f"need 0 <= warmup_start_lr <= base_lr, got {self.warmup_start_lr} and {self.base_lr}"
+                f"need 0 <= warmup_start_lr <= base_lr < inf, got {self.warmup_start_lr} and {self.base_lr}"
             )
         if not self.clip_max_norm > 0:
             raise ValueError(f"clip_max_norm must be positive, got {self.clip_max_norm}")
@@ -103,22 +104,14 @@ class StepLog:
     grad_norm: float
 
     def as_csv_row(self) -> str:
-        return ",".join(
-            [
-                str(self.step),
-                repr(self.loss),
-                repr(self.loss_smooth),
-                repr(self.coord_loss),
-                repr(self.text_loss),
-                repr(self.lr),
-                repr(self.grad_norm),
-            ]
-        )
+        return ",".join(repr(getattr(self, f.name)) for f in fields(self))
+
+
+LOG_HEADER = ",".join(f.name for f in fields(StepLog))
 
 
 @dataclass
 class TrainResult:
-    model: HazardModel
     logs: list[StepLog] = field(default_factory=list)
     val_reports: list[MetricsReport] = field(default_factory=list)
 
@@ -197,7 +190,8 @@ def train(
     vocab: Vocabulary,
     cfg: TrainConfig,
 ) -> TrainResult:
-    """Run the fine-tuning loop and return the model plus log series.
+    """Run the fine-tuning loop, updating ``model`` in place, and return its
+    step logs and per-epoch validation reports. The caller saves the model.
 
     One optimizer step per ``grad_accum_steps`` micro-batches (partial
     groups at epoch end still step); the learning rate at optimizer step
@@ -242,7 +236,7 @@ def train(
     grads = FlatArrays.zeros({name: t.shape for name, t in trainable.items()}, dtype)
     prompt_ids = tokenize(HAZARD_PROMPT, vocab)
 
-    result = TrainResult(model=model)
+    result = TrainResult()
     step = 0
     prefix = None  # recorded at the first micro-batch of each accumulation group
     ema: float | None = None
@@ -281,9 +275,9 @@ def train(
                         raise
                     if initial_raw is None:
                         initial_raw = raw
-                    elif raw > cfg.divergence_factor * max(initial_raw, 1e-12):
+                    elif raw > DIVERGENCE_FACTOR * max(initial_raw, 1e-12):
                         raise TrainingDiverged(
-                            f"loss {raw:.4g} exceeds {cfg.divergence_factor}x initial {initial_raw:.4g}"
+                            f"loss {raw:.4g} exceeds {DIVERGENCE_FACTOR}x initial {initial_raw:.4g}"
                         )
                     tape.backward(breakdown.total)
                     group_raw.append((coord_v, text_v, raw))
@@ -295,7 +289,7 @@ def train(
                         lr = lr_at(sched, step)
                         adamw_step(trainable, clipped, state, lr)
                         raw_mean = sum(r for _, _, r in group_raw) / len(group_raw)
-                        ema = raw_mean if ema is None else cfg.ema_alpha * raw_mean + (1 - cfg.ema_alpha) * ema
+                        ema = raw_mean if ema is None else EMA_ALPHA * raw_mean + (1 - EMA_ALPHA) * ema
                         result.logs.append(
                             StepLog(
                                 step=step,
@@ -319,9 +313,6 @@ def train(
     finally:
         for t in trainable.values():
             t.zero_grad()
-
-    if cfg.checkpoint_path:
-        save_checkpoint(model, None, cfg.checkpoint_path, step=step, epoch=cfg.epochs, seed=cfg.seed)
     return result
 
 

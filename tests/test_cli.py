@@ -1,16 +1,21 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import struct
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import CHECKPOINT_HEADER, sealed_checkpoint, with_repeated_last_tensor
 from hazardvlm.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, RunConfig, main
-from hazardvlm.data import load_dataset
-from hazardvlm.training import load_checkpoint, restore_model, save_checkpoint
+from hazardvlm.data import SynthConfig, load_dataset
+from hazardvlm.training import TrainConfig, load_checkpoint, restore_model, save_checkpoint
 
 FAST_TRAIN = [
     "--epochs", "1",
@@ -100,7 +105,8 @@ def test_train_produces_checkpoint_log_and_vocab(tmp_path, conf, capsys):
     assert log.exists()
     rows = log.read_text().strip().splitlines()
     n_steps = len(rows) - 1
-    assert load_checkpoint(ckpt).step == n_steps
+    saved = load_checkpoint(ckpt)
+    assert (saved.step, saved.epoch, saved.seed) == (n_steps, 1, 0)
     assert (tmp_path / "model.ckpt.vocab").exists()
     assert int(rows[-1].split(",")[0]) == n_steps - 1
 
@@ -756,6 +762,108 @@ def test_out_of_range_train_float_is_usage_error_before_any_work(tmp_path, conf,
     assert captured.out == ""
     # no log, checkpoint or vocabulary
     assert sorted(tmp_path.rglob("*")) == before
+
+
+# synth: each was a traceback (noise_high -5 and NaN, blob_sigma 0), an
+# exit 0 with a file the loader rejects in full (blob_sigma 1e-30, and
+# blob_sigma and blob_peak NaN), accepted although out of range
+# (blob_sigma -1), or a data error (synth_n 0)
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("noise_high = -5", "noise_high must be finite and non-negative, got -5.0"),
+        ("noise_high = nan", "noise_high must be finite and non-negative, got nan"),
+        ("blob_sigma = 0", "blob_sigma must be positive and finite, got 0.0"),
+        ("blob_sigma = nan", "blob_sigma must be positive and finite, got nan"),
+        ("blob_sigma = -1", "blob_sigma must be positive and finite, got -1.0"),
+        ("blob_sigma = 1e-30", "blob_sigma 1e-30 is too small: 2 * blob_sigma**2 is 0 in float32"),
+        ("blob_peak = nan", "blob_peak must be finite and at least 0.8 to dominate the noise, got nan"),
+        ("synth_n = 0", "synth_n must be at least 1, got 0"),
+    ],
+)
+def test_out_of_range_synth_value_is_usage_error_before_any_work(tmp_path, capsys, monkeypatch, line, message):
+    (tmp_path / "c.conf").write_text(SMALL_CONF + line + "\n")
+    monkeypatch.chdir(tmp_path)
+    n = [] if line.startswith("synth_n") else ["--n", "3"]
+    assert main(["synth", *n, "--config", "c.conf", "--out", "d.jsonl"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.endswith(message + "\n") and captured.err.startswith("usage error: ")
+    assert captured.out == "" and not (tmp_path / "d.jsonl").exists()
+
+
+# train read the whole dataset, then exited 2 ("data error") in split
+@pytest.mark.parametrize("value", ["nan", "0", "1", "-1", "inf"])
+def test_out_of_range_val_fraction_is_usage_error_before_any_work(tmp_path, capsys, monkeypatch, value):
+    (tmp_path / "bad.conf").write_text(SMALL_CONF + f"val_fraction = {value}\n")
+    monkeypatch.chdir(tmp_path)
+    read = []
+    monkeypatch.setattr("hazardvlm.cli.load_dataset", lambda *a: read.append(a) or ([], []))
+    assert main(["train", "--config", "bad.conf", "--dataset", "d.jsonl", "--out", "x.ckpt"]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: val_fraction must be in (0, 1), got {float(value)}\n"
+    assert read == [] and sorted(p.name for p in tmp_path.iterdir()) == ["bad.conf"]
+
+
+@pytest.fixture(scope="module")
+def config_world(tmp_path_factory):
+    """A 12-scene dataset at the small geometry, a checkpoint trained on it
+    and one of its images, shared by the config-value property test."""
+    root = tmp_path_factory.mktemp("config-world")
+    conf = root / "small.conf"
+    conf.write_text(SMALL_CONF)
+    data, ckpt = root / "data.jsonl", root / "model.ckpt"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--config", str(conf), "--out", str(data), "--n", "12"]) == EXIT_OK
+        assert main(["train", "--config", str(conf), "--dataset", str(data), "--out", str(ckpt), *FAST_TRAIN]) == EXIT_OK
+    np.save(root / "img.npy", load_dataset(data)[0][0].image)
+    return root
+
+
+def _key_commands() -> dict[str, str]:
+    """Every float key of RunConfig and every CLI-only key, with the
+    subcommand that reads it; a float key of another config fails here."""
+    commands = {f.name: "train" for f in dataclasses.fields(TrainConfig)}
+    commands |= {f.name: "synth" for f in dataclasses.fields(SynthConfig)}
+    commands |= {"val_fraction": "train", "synth_n": "synth", "max_samples": "eval",
+                 "top_p": "predict", "temperature": "predict"}
+    keys = {f.name for f in dataclasses.fields(RunConfig) if f.type == "float"} | {"synth_n", "max_samples"}
+    return {key: commands[key] for key in keys}
+
+
+KEY_COMMANDS = _key_commands()
+EDGE_VALUES = ["nan", "inf", "-inf", "0", "-1"]
+# the ends of each key's valid range, at the small geometry's defaults
+BOUNDARIES = {
+    "base_lr": ["3e-05"], "warmup_start_lr": ["0.0001"], "warmup_frac": ["1"],
+    "beta1": ["1"], "beta2": ["1"], "val_fraction": ["1"], "top_p": ["1"],
+    "blob_peak": ["0.8"], "blob_sigma": ["1.07"], "noise_high": ["0.3344"],
+    "synth_n": ["1"], "max_samples": ["1"],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(KEY_COMMANDS)).flatmap(
+    lambda key: st.tuples(st.just(key), st.sampled_from(EDGE_VALUES + BOUNDARIES.get(key, [])))
+))
+def test_any_config_value_is_accepted_or_a_usage_error_before_any_work(config_world, key_value):
+    key, value = key_value
+    root = config_world
+    work = Path(tempfile.mkdtemp(dir=root))
+    (work / "c.conf").write_text(SMALL_CONF + f"{key} = {value}\n")
+    argv = {
+        "synth": ["synth", "--out", str(work / "d.jsonl")] + (["--n", "3"] if key != "synth_n" else []),
+        "train": ["train", "--dataset", str(root / "data.jsonl"), "--out", str(work / "x.ckpt"), "--epochs", "1"],
+        "eval": ["eval", "--checkpoint", str(root / "model.ckpt"), "--dataset", str(root / "data.jsonl"),
+                 "--out", str(work / "report")],
+        "predict": ["predict", "--checkpoint", str(root / "model.ckpt"), "--image", str(root / "img.npy"),
+                    "--out", str(work / "p.txt")],
+    }[KEY_COMMANDS[key]]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main([*argv, "--config", str(work / "c.conf")])
+    assert rc in (EXIT_OK, EXIT_USAGE), (rc, err.getvalue())
+    if rc == EXIT_USAGE:
+        assert err.getvalue().startswith("usage error: ")
+        assert [p.name for p in work.iterdir()] == ["c.conf"]
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

@@ -158,6 +158,54 @@ def test_each_corruption_class_is_caught(tmp_path, corrupt, category):
     assert errors[0].category == category, errors[0]
 
 
+def _line(**changes):
+    record = valid_record()
+    for key, value in changes.items():
+        if value is None:
+            record.pop(key)
+        else:
+            record[key] = value
+    return json.dumps(record)
+
+
+# (line, category, message) of each kind of rejected record
+REJECTIONS = [
+    ("{not json", "json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("[1, 2]", "schema", "record must be a JSON object"),
+    (_line(extra=1), "schema", "\"unknown keys ['extra']\""),
+    (_line(**{"it's": 1}), "schema", "'unknown keys [\"it\\'s\"]'"),
+    (_line(image=None), "schema", "\"missing key 'image'\""),
+    (_line(caption=None), "schema", "\"missing key 'caption'\""),
+    (_line(category="weird"), "schema", "category must be one of ('predictable', 'unpredictable')"),
+    ("[" * 100_000 + "]" * 100_000, "schema", "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+    (_line(hazard=7), "hazard", "hazard must be a single [x, y] point"),
+    (_line(hazard=[1, "a"]), "hazard", "hazard coordinates must be finite numbers"),
+    (_line(hazard=[float("nan"), 0]), "hazard", "hazard coordinates must be finite numbers"),
+    (_line(hazard=[4, 0]), "hazard", "hazard (4, 0) outside image bounds [0, 4)"),
+    # too large for a float: it was filed as schema ("int too large to convert to float")
+    (_line(hazard=[10**400, 0]), "hazard", f"hazard ({10**400}, 0) outside image bounds [0, 4)"),
+    (_line(caption=" "), "caption", "caption must be a non-empty string"),
+    (_line(image=[[0.5, 2.0], [0.1, 0.1]]), "image", "image values outside [0, 1]"),
+    (_line(image=[[[]]]), "image", "image must be square, got shape (1, 1, 0)"),
+    (_line(image=[1, 2]), "image", "image must be C x S x S, got shape (2,)"),
+    (_line(image={"a": 1}), "image", "image array malformed: float() argument must be a string or a real number, not 'dict'"),
+    # numpy's message for an empty reduction was filed as schema
+    (_line(image="empty.npy"), "image", "image must not be empty, got shape (1, 0, 0)"),
+    (_line(image="no-channels.npy"), "image", "image must not be empty, got shape (0, 4, 4)"),
+]
+
+
+def test_each_rejection_has_its_category_and_message(tmp_path):
+    np.save(tmp_path / "empty.npy", np.zeros((1, 0, 0)))
+    np.save(tmp_path / "no-channels.npy", np.zeros((0, 4, 4)))
+    p = tmp_path / "d.jsonl"
+    write_jsonl(p, [line for line, _, _ in REJECTIONS])
+    samples, errors = load_dataset(p)
+    assert samples == []
+    got = [(e.line, e.category, e.message) for e in errors]
+    assert got == [(i, category, message) for i, (_, category, message) in enumerate(REJECTIONS, 1)]
+
+
 def test_save_load_round_trip(tmp_path):
     samples = synth_generate(5, SynthConfig(), seed=0)
     p = tmp_path / "d.jsonl"

@@ -35,7 +35,7 @@ def one_hot_map(h, w, gx, gy) -> AttentionMap:
 
 def test_aggregate_single_trivial_head():
     per_head = Tensor(np.ones((1, 1, 1), dtype=np.float32))
-    out = aggregate_heads(per_head)
+    out = aggregate_heads(per_head, (1, 1))
     assert out.grid.data.tolist() == [[1.0]]
 
 
@@ -46,7 +46,7 @@ def test_aggregate_two_heads_is_normalized_mean():
     m /= m.sum(axis=1, keepdims=True)
     n /= n.sum(axis=1, keepdims=True)
     per_head = Tensor(np.stack([m, n]))
-    out = aggregate_heads(per_head)
+    out = aggregate_heads(per_head, (2, 2))
     expected = ((m + n) / 2).mean(axis=0)
     expected /= expected.sum()
     np.testing.assert_allclose(out.grid.data, expected.reshape(2, 2), rtol=1e-6)
@@ -54,15 +54,15 @@ def test_aggregate_two_heads_is_normalized_mean():
 
 def test_aggregate_uniform_heads_give_uniform_map():
     per_head = Tensor(np.full((3, 4, 4), 0.25, dtype=np.float32))
-    out = aggregate_heads(per_head)
+    out = aggregate_heads(per_head, (2, 2))
     np.testing.assert_allclose(out.grid.data, 0.25, atol=1e-7)
 
 
 def test_aggregate_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        aggregate_heads(Tensor(np.ones((2, 3, 4), dtype=np.float32)))
+        aggregate_heads(Tensor(np.ones((2, 3, 4), dtype=np.float32)), (2, 2))
     with pytest.raises(ValueError):
-        aggregate_heads(Tensor(np.ones((2, 3, 3), dtype=np.float32)))  # 3 not square
+        aggregate_heads(Tensor(np.ones((2, 3, 3), dtype=np.float32)), (2, 2))  # 3 positions, 4 cells
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,7 @@ def test_soft_argmax_one_hot():
 
 
 def test_soft_argmax_uniform_is_grid_center():
-    gx, gy = soft_argmax(amap(np.ones((4, 4))))
+    gx, gy = soft_argmax(amap(np.ones((4, 4))), tau=0.5)
     assert gx.item() == pytest.approx(1.5, abs=1e-6)
     assert gy.item() == pytest.approx(1.5, abs=1e-6)
 

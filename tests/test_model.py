@@ -462,23 +462,23 @@ def test_decoder_gradient_wrt_params(tiny_model):
 def test_nucleus_hand_case():
     # temperature 0.95 then top_p 0.9 keeps the first three of
     # [0.5, 0.3, 0.15, 0.05]
-    logits = np.log(np.array([0.5, 0.3, 0.15, 0.05]))
+    logits = np.log(np.array([[0.5, 0.3, 0.15, 0.05]]))
     keep, probs = nucleus(logits, top_p=0.9, temperature=0.95)
-    assert keep.tolist() == [0, 1, 2]
-    assert probs.sum() == pytest.approx(1.0)
+    assert keep[0].tolist() == [0, 1, 2]
+    assert probs[0].sum() == pytest.approx(1.0)
 
 
 def test_nucleus_top_p_zero_is_greedy():
-    logits = np.array([0.1, 2.0, 0.3])
+    logits = np.array([[0.1, 2.0, 0.3]])
     keep, probs = nucleus(logits, top_p=0.0, temperature=1.0)
-    assert keep.tolist() == [1]
-    assert probs.tolist() == [1.0]
+    assert keep[0].tolist() == [1]
+    assert probs[0].tolist() == [1.0]
 
 
 def test_nucleus_top_p_one_keeps_everything():
-    logits = np.array([0.5, 0.25, 0.25])
+    logits = np.array([[0.5, 0.25, 0.25]])
     keep, _ = nucleus(logits, top_p=1.0, temperature=1.0)
-    assert len(keep) == 3
+    assert len(keep[0]) == 3
 
 
 def reference_nucleus(logits, top_p, temperature):
@@ -515,7 +515,7 @@ def test_rowwise_nucleus_matches_one_row_at_a_time(seed, rows, vocab, spread, ti
     assert len(keep) == len(probs) == rows
     for row, kept, p in zip(logits, keep, probs):
         want_keep, want_p = reference_nucleus(row, top_p, temperature)
-        one_keep, one_p = nucleus(row, top_p, temperature)
+        (one_keep,), (one_p,) = nucleus(row[None], top_p, temperature)
         for got_keep, got_p in ((kept, p), (one_keep, one_p)):
             assert got_keep.tolist() == want_keep.tolist()
             assert got_p.dtype == want_p.dtype and got_p.tobytes() == want_p.tobytes()
@@ -526,10 +526,10 @@ def test_nucleus_greedy_takes_the_first_maximum_of_the_probabilities():
     # takes token 0 although token 1 has the larger logit
     logits = np.array([0.0, 1e-17])
     assert logits.argmax() == 1
-    keep, probs = nucleus(logits, top_p=0.0, temperature=1.0)
-    assert keep.tolist() == [0] and probs.tolist() == [1.0]
+    keep, probs = nucleus(logits[None], top_p=0.0, temperature=1.0)
+    assert keep[0].tolist() == [0] and probs[0].tolist() == [1.0]
     keep, _ = nucleus(np.stack([logits, logits[::-1]]), top_p=0.0, temperature=1.0)
-    assert keep[:, 0].tolist() == [0, 0]
+    assert [k.tolist() for k in keep] == [[0], [0]]
 
 
 def test_generate_seeded_determinism(tiny_model):
@@ -628,7 +628,7 @@ def test_greedy_generate_picks_the_first_token_nucleus_keeps(tiny_model, monkeyp
     for logits in decoder.steps:
         assert len(logits) == len(live)
         keep, _ = nucleus(logits.astype(np.float64), 0.0, temperature)
-        picks = keep[:, 0]
+        picks = np.array([k[0] for k in keep])
         ties += int((picks != logits.argmax(axis=1)).sum())
         for scene, token in zip(live, picks):
             if token != END_ID:
@@ -675,7 +675,7 @@ def _full_recompute_generate(model, fused, max_len, top_p, temperature, seed):
     for _ in range(max_len):
         logits = model._decoder_states(fused, ids).data[-1].astype(np.float64)
         steps.append(logits)
-        keep, probs = nucleus(logits, top_p, temperature)
+        (keep,), (probs,) = nucleus(logits[None], top_p, temperature)
         token = int(rng.choice(keep, p=probs))
         if token == END_ID:
             break

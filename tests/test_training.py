@@ -36,6 +36,7 @@ from hazardvlm.training import (
     CheckpointError,
     LOG_HEADER,
     Predictor,
+    StepLog,
     TrainConfig,
     TrainingDiverged,
     Truncated,
@@ -206,11 +207,9 @@ def _per_tensor_train(model, d_train, vocab, cfg):
 def test_train_matches_the_per_tensor_step_bitwise(tmp_path, mode, n, accum, cap):
     samples, vocab = make_dataset(n)
     models = [_lora_model(vocab) if mode == "lora" else small_model(vocab, seed=2) for _ in range(2)]
-    cfg = quick_cfg(
-        epochs=2, mode=mode, grad_accum_steps=accum, base_lr=1e-2, clip_max_norm=cap,
-        checkpoint_path=str(tmp_path / "flat.ckpt"),
-    )
+    cfg = quick_cfg(epochs=2, mode=mode, grad_accum_steps=accum, base_lr=1e-2, clip_max_norm=cap)
     res = train(models[0], samples, samples[:2], vocab, cfg)
+    save_checkpoint(models[0], None, tmp_path / "flat.ckpt", step=len(res.logs), epoch=cfg.epochs, seed=cfg.seed)
     _, logs, step = _per_tensor_train(models[1], samples, vocab, cfg)
     save_checkpoint(models[1], None, tmp_path / "ref.ckpt", step=step, epoch=cfg.epochs, seed=cfg.seed)
 
@@ -456,13 +455,14 @@ def test_coord_loss_trains_alone_when_text_weight_zero():
     assert last < first
 
 
-def test_divergence_guard_trips(tmp_path):
+def test_divergence_guard_trips(tmp_path, monkeypatch):
     samples, vocab = make_dataset(6)
     model = small_model(vocab)
     log = tmp_path / "log.csv"
+    monkeypatch.setattr("hazardvlm.training.DIVERGENCE_FACTOR", 1e-9)
     # one micro-batch per step, so the first step is logged before the
     # second micro-batch trips the guard
-    cfg = quick_cfg(divergence_factor=1e-9, grad_accum_steps=1, log_path=str(log))
+    cfg = quick_cfg(grad_accum_steps=1, log_path=str(log))
     with pytest.raises(TrainingDiverged):
         train(model, samples, samples[:2], vocab, cfg)
     lines = log.read_text().splitlines()
@@ -830,6 +830,12 @@ def test_train_streams_log(tmp_path):
     rows = [entry.as_csv_row() for entry in result.logs]
     assert log.read_text(encoding="utf-8") == "\n".join([LOG_HEADER] + rows) + "\n"
     assert rows[0].startswith("0,")
+
+
+def test_log_columns_are_the_step_log_fields_in_order():
+    assert LOG_HEADER == "step,loss,loss_smooth,coord_loss,text_loss,lr,grad_norm"
+    entry = StepLog(step=3, loss=0.1, loss_smooth=2.5, coord_loss=1e-20, text_loss=0.0, lr=3e-05, grad_norm=1.0)
+    assert entry.as_csv_row() == "3,0.1,2.5,1e-20,0.0,3e-05,1.0"
 
 
 # ---------------------------------------------------------------------------
