@@ -297,7 +297,7 @@ def cmd_eval(args) -> int:
     cfg = build_run_config(args)
     model, vocab = _restore_model(args.checkpoint, args.vocab)
     samples = _load_samples(args.dataset, model.config)
-    report = evaluate(model, samples, vocab, max_samples=cfg.max_samples or None)
+    report = evaluate(model, samples, vocab, max_samples=cfg.max_samples)
     print(report.as_text(), end="")
     if args.out:
         Path(args.out).with_suffix(".txt").write_text(report.as_text(), encoding="utf-8")
@@ -315,7 +315,7 @@ def cmd_predict(args) -> int:
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     _check_image_shape(image.shape, model.config, "image")
-    predict = Predictor(model, tokenize(HAZARD_PROMPT, vocab))
+    predict = Predictor(model, vocab)
     point, ids = predict(Tensor(image), top_p=top_p, temperature=cfg.temperature, seed=cfg.seed)
     output = f"hazard=({point.x:g}, {point.y:g})\n{detokenize(ids, vocab)}\n"
     print(output, end="")

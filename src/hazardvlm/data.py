@@ -8,8 +8,8 @@ Record schema (one JSON object per line):
 plus an optional "category" field ("predictable" / "unpredictable"),
 stored but unused by the losses. Images are C x S x S float grids in
 [0, 1]; a string image value is a path to a .npy file relative to the
-loader's image root. Each sample has exactly one hazard point, inside
-the image.
+dataset file's directory. Each sample has exactly one hazard point,
+inside the image.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from .localization import PixelPoint
 
 PAD, START, END, UNK = "<pad>", "<s>", "</s>", "<unk>"
 RESERVED = (PAD, START, END, UNK)
+# every vocabulary starts with RESERVED, so these ids hold for all of them
+PAD_ID, START_ID, END_ID, UNK_ID = range(len(RESERVED))
 
 CAPTION_TEMPLATE = "the area around ({x}, {y}) should be paid more attention to"
 
@@ -106,7 +108,7 @@ def load_image(value, image_root: Path | None = None) -> np.ndarray:
     return arr
 
 
-def _parse_record(record, image_root: Path | None) -> AnnotatedSample:
+def _parse_record(record, image_root: Path) -> AnnotatedSample:
     """The sample a decoded JSON record describes; _Rejected otherwise."""
     if not isinstance(record, dict):
         raise _Rejected("schema", "record must be a JSON object")
@@ -150,10 +152,9 @@ def _parse_record(record, image_root: Path | None) -> AnnotatedSample:
     )
 
 
-def load_dataset(
-    path: str | Path, image_root: str | Path | None = None
-) -> tuple[list[AnnotatedSample], list[RecordError]]:
-    """Parse a JSONL dataset, validating every record.
+def load_dataset(path: str | Path) -> tuple[list[AnnotatedSample], list[RecordError]]:
+    """Parse a JSONL dataset, validating every record; a relative image
+    path resolves against the dataset's directory.
 
     Returns (accepted samples, rejections); each rejection names its line
     number and error category, and a line that is not UTF-8 is one. An
@@ -161,7 +162,6 @@ def load_dataset(
     read is a DataError.
     """
     path = Path(path)
-    root = Path(image_root) if image_root is not None else path.parent
     samples: list[AnnotatedSample] = []
     errors: list[RecordError] = []
     try:
@@ -172,13 +172,13 @@ def load_dataset(
                     continue
                 try:
                     record = json.loads(line.encode("utf-8", "surrogateescape").decode("utf-8"))
-                    samples.append(_parse_record(record, root))
+                    samples.append(_parse_record(record, path.parent))
                 except _Rejected as exc:
                     errors.append(RecordError(line=lineno, category=exc.category, message=str(exc)))
-                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+                    # json.loads raises RecursionError for JSON nested too deep
                     errors.append(RecordError(line=lineno, category="json", message=str(exc)))
                 except Exception as exc:  # noqa: BLE001 - every failure becomes a diagnostic
-                    # one the parser does not raise, such as JSON nested too deep
                     errors.append(RecordError(line=lineno, category="schema", message=str(exc)))
     except OSError as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
@@ -220,22 +220,6 @@ class Vocabulary:
     def __len__(self):
         return len(self.tokens)
 
-    @property
-    def pad_id(self) -> int:
-        return self.index[PAD]
-
-    @property
-    def start_id(self) -> int:
-        return self.index[START]
-
-    @property
-    def end_id(self) -> int:
-        return self.index[END]
-
-    @property
-    def unk_id(self) -> int:
-        return self.index[UNK]
-
     def save(self, path: str | Path) -> None:
         Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
 
@@ -263,8 +247,8 @@ def build_vocab(captions: Sequence[str]) -> Vocabulary:
 
 def tokenize(caption: str, vocab: Vocabulary) -> list[int]:
     """start + content ids + end; unseen tokens map to unknown."""
-    ids = [vocab.index.get(tok, vocab.unk_id) for tok in normalize(caption)]
-    return [vocab.start_id] + ids + [vocab.end_id]
+    ids = [vocab.index.get(tok, UNK_ID) for tok in normalize(caption)]
+    return [START_ID] + ids + [END_ID]
 
 
 def detokenize(ids: Sequence[int], vocab: Vocabulary) -> str:
@@ -347,18 +331,6 @@ def synth_caption(hazard: PixelPoint, patch_size: int) -> str:
     return CAPTION_TEMPLATE.format(x=cx, y=cy)
 
 
-def parse_caption_coords(caption: str) -> tuple[int, int] | None:
-    """Recover the (x, y) coordinate tokens from a generated caption."""
-    tokens = caption.split()
-    for a, b in zip(tokens, tokens[1:]):
-        if a.startswith("(") and a.endswith(",") and b.endswith(")"):
-            try:
-                return int(a[1:-1]), int(b[:-1])
-            except ValueError:
-                continue
-    return None
-
-
 def synth_generate(n: int, cfg: SynthConfig, seed: int) -> list[AnnotatedSample]:
     """Noise background plus one bright Gaussian blob; the blob center is
     the hazard and the caption names its patch center."""
@@ -372,9 +344,10 @@ def synth_generate(n: int, cfg: SynthConfig, seed: int) -> list[AnnotatedSample]
         cx = int(rng.integers(0, size))
         cy = int(rng.integers(0, size))
         noise = rng.uniform(0.0, cfg.noise_high, size=(cfg.channels, size, size)).astype(np.float32)
-        blob = cfg.blob_peak * np.exp(
-            -((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * cfg.blob_sigma**2)
-        ).astype(np.float32)
+        # a tiny sigma overflows the float32 exponent to -inf, which exp maps to 0
+        with np.errstate(over="ignore"):
+            exponent = -((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * cfg.blob_sigma**2)
+        blob = cfg.blob_peak * np.exp(exponent).astype(np.float32)
         image = np.clip(noise + blob[None, :, :], 0.0, 1.0)
         hazard = PixelPoint(float(cx), float(cy))
         category = "predictable" if rng.random() < 0.5 else "unpredictable"

@@ -8,6 +8,7 @@ convention: pixel = g * p + p/2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,8 +80,8 @@ def soft_argmax(a: AttentionMap, tau: float) -> tuple[Tensor, Tensor]:
     result approaches hard_argmax on unique-max maps. Returns scalar
     tensors (gx, gy) carrying gradients.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     h, w = a.height, a.width
     logits = tz.scale(tz.log(tz.shift(a.grid, LOG_EPS)), 1.0 / tau)
     p = tz.softmax(tz.reshape(logits, (1, h * w)), axis=1)

@@ -2,8 +2,8 @@
 
 All text metrics operate on token sequences and depend only on token
 equality. ROUGE scores are reported as F1. BLEU uses clipped n-gram
-precision with a brevity penalty; zero counts are smoothed Lin-Och style
-(half count) unless smoothing is disabled.
+precision against one reference with a brevity penalty; zero counts are
+always smoothed Lin-Och style (half count).
 """
 
 from __future__ import annotations
@@ -61,52 +61,30 @@ def _overlap(cand: Counter, ref: Counter) -> int:
     return total
 
 
-def bleu4(candidate: Tokens, reference: Tokens | Sequence[Tokens], smooth: bool = True) -> float:
+def bleu4(candidate: Tokens, reference: Tokens) -> float:
     """Geometric mean of clipped 1..4-gram precisions times brevity penalty."""
-    refs = _as_reference_list(reference)
-    if not refs or all(len(r) == 0 for r in refs):
+    if len(reference) == 0:
         raise ValueError("bleu4 requires a non-empty reference")
     if len(candidate) == 0:
         return 0.0
     cand_grams = [_ngrams(candidate, n) for n in range(1, 5)]
-    # multi-reference clipping: a candidate count is capped by the max count
-    # over references, which is the count in their union
-    ref_grams = []
-    for n in range(1, 5):
-        union = Counter()
-        for r in refs:
-            union |= _ngrams(r, n)
-        ref_grams.append(union)
-    return _bleu4_counts(cand_grams, ref_grams, len(candidate), [len(r) for r in refs], smooth)
+    ref_grams = [_ngrams(reference, n) for n in range(1, 5)]
+    return _bleu4_counts(cand_grams, ref_grams, len(candidate), len(reference))
 
 
 def _bleu4_counts(
-    cand_grams: Sequence[Counter], ref_grams: Sequence[Counter], cand_len: int, ref_lens: Sequence[int],
-    smooth: bool = True,
+    cand_grams: Sequence[Counter], ref_grams: Sequence[Counter], cand_len: int, ref_len: int
 ) -> float:
-    """BLEU-4 of a non-empty candidate from its 1..4-gram counts and the
-    (union of the) references' counts."""
+    """BLEU-4 of a non-empty candidate from its and the reference's 1..4-gram
+    counts."""
     log_sum = 0.0
     for n, (cand, ref) in enumerate(zip(cand_grams, ref_grams), start=1):
         total = max(cand_len - n + 1, 0)
         overlap = _overlap(cand, ref)
-        if overlap > 0:
-            p = overlap / total
-        elif smooth:
-            p = 1.0 / (2.0 * max(total, 1))
-        else:
-            return 0.0
+        p = overlap / total if overlap > 0 else 1.0 / (2.0 * max(total, 1))
         log_sum += math.log(p)
-    # closest reference length, ties to the shorter
-    ref_len = min((abs(r - cand_len), r) for r in ref_lens)[1]
     bp = min(1.0, math.exp(1.0 - ref_len / cand_len))
     return bp * math.exp(log_sum / 4.0)
-
-
-def _as_reference_list(reference) -> list[Tokens]:
-    if reference and isinstance(reference[0], (list, tuple)):
-        return list(reference)
-    return [reference]
 
 
 def _f1(overlap: float, cand_total: int, ref_total: int) -> float:
@@ -186,7 +164,7 @@ def corpus_report(
         ref_grams = [_ngrams(ref, n) for n in range(1, 5)]
         cand_grams = [_ngrams(cand, n) for n in range(1, 5)]
         if cand:
-            b += _bleu4_counts(cand_grams, ref_grams, len(cand), [len(ref)])
+            b += _bleu4_counts(cand_grams, ref_grams, len(cand), len(ref))
         r1 += _rouge_counts(cand_grams[0], ref_grams[0], len(cand), len(ref), 1)
         r2 += _rouge_counts(cand_grams[1], ref_grams[1], len(cand), len(ref), 2)
         rl += rouge_l(cand, ref)

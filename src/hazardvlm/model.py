@@ -17,12 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tz
-from .data import END, RESERVED, START, check_sizes
+from .data import END_ID, START_ID, check_sizes
 from .localization import AttentionMap, aggregate_heads
 from .tensor import Tensor
-
-START_ID = RESERVED.index(START)
-END_ID = RESERVED.index(END)
 
 INIT_STD = 0.02
 MASK_VALUE = -1e9

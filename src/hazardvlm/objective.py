@@ -1,8 +1,9 @@
 """Multi-task training objective: coordinate regression + text generation.
 
-The coordinate term is a mean squared error over predicted vs. true
-points; the text term is teacher-forced cross-entropy. Both are combined
-as lambda_coord * coord + lambda_text * text. During training the
+The coordinate term is the squared distance between one scene's predicted
+and true point (training averages it over a micro-batch); the text term
+is teacher-forced cross-entropy. Both are combined as
+lambda_coord * coord + lambda_text * text. During training the
 coordinate term is computed in grid units so its scale is comparable to
 the text term (pixel-space MSE is an evaluation concern).
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import tensor as tz
 from .tensor import Tensor
@@ -45,35 +45,13 @@ class LossBreakdown:
         return self.coord.item(), self.text.item(), self.total.item()
 
 
-def _as_scalar_pair(point) -> tuple[Tensor, Tensor]:
-    if isinstance(point, tuple) and isinstance(point[0], Tensor):
-        return point
-    # PixelPoint or plain (x, y) numbers become constants
-    x, y = (point.x, point.y) if hasattr(point, "x") else (point[0], point[1])
-    return Tensor(float(x)), Tensor(float(y))
-
-
-def coord_loss(preds: Sequence, truths: Sequence) -> Tensor:
-    """(1/N) * sum((x_hat - x)^2 + (y_hat - y)^2), differentiable in preds.
-
-    Points may be (Tensor, Tensor) pairs from the soft-argmax path or
-    plain PixelPoints/tuples (wrapped as constants).
-    """
-    if len(preds) != len(truths):
-        raise ValueError(f"length mismatch: {len(preds)} predictions, {len(truths)} truths")
-    if not preds:
-        raise ValueError("coord_loss over an empty batch")
-    terms = []
-    for pred, truth in zip(preds, truths):
-        px, py = _as_scalar_pair(pred)
-        tx, ty = _as_scalar_pair(truth)
-        dx = tz.sub(px, tx)
-        dy = tz.sub(py, ty)
-        terms.append(tz.add(tz.mul(dx, dx), tz.mul(dy, dy)))
-    total = terms[0]
-    for t in terms[1:]:
-        total = tz.add(total, t)
-    return tz.scale(total, 1.0 / len(preds))
+def coord_loss(pred: tuple[Tensor, Tensor], truth: tuple[float, float]) -> Tensor:
+    """(x_hat - x)^2 + (y_hat - y)^2 for one scene, differentiable in the
+    soft-argmax point ``pred``; ``truth`` is a constant (x, y) pair."""
+    px, py = pred
+    dx = tz.sub(px, Tensor(float(truth[0])))
+    dy = tz.sub(py, Tensor(float(truth[1])))
+    return tz.add(tz.mul(dx, dx), tz.mul(dy, dy))
 
 
 def total_loss(coord: Tensor, text: Tensor, weights: LossWeights) -> LossBreakdown:

@@ -224,8 +224,11 @@ class ScheduleConfig:
     def __post_init__(self):
         if not 0 <= self.warmup_steps < self.total_steps:
             raise ValueError("need 0 <= warmup_steps < total_steps")
-        if self.warmup_start_lr > self.base_lr:
-            raise ValueError("warmup_start_lr must not exceed base_lr")
+        # written as `not <valid>`, so NaN fails too
+        if not 0 <= self.warmup_start_lr <= self.base_lr < math.inf:
+            raise ValueError(
+                f"need 0 <= warmup_start_lr <= base_lr < inf, got {self.warmup_start_lr} and {self.base_lr}"
+            )
 
 
 def lr_at(sched: ScheduleConfig, t: int) -> float:
@@ -277,7 +280,12 @@ def clip_grad_norm(
 # The probe runs AdamW with the decaying schedule lr0/sqrt(t+1) (the
 # infinite-horizon regime the sublinear min-grad-norm bound is stated for;
 # the finite-horizon cosine schedule above does not satisfy it) and records
-# the running minimum of the squared gradient norm.
+# the running minimum of the squared gradient norm. Each step's gradient
+# carries Gaussian noise of scale GRAD_NOISE: the sublinear rate is a
+# statement about stochastic gradients in expectation, and the noise-free
+# trajectory converges much faster.
+
+GRAD_NOISE = 0.5
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
@@ -325,16 +333,14 @@ def convergence_probe(
     t_list: Sequence[int],
     seeds: Sequence[int],
     lr0: float = 0.3,
-    grad_noise: float = 0.5,
 ) -> list[tuple[int, float]]:
     """Seed-averaged running-min squared gradient norm at each horizon in t_list.
 
     One trajectory per seed is run to max(t_list) with lr_t = lr0/sqrt(t+1)
     and weight decay 0 (decay shifts the stationary point away from the
     objective's). Steps use the objective's gradient plus Gaussian noise of
-    scale ``grad_noise`` (the sublinear rate is a statement about stochastic
-    gradients in expectation; the noise-free trajectory converges much
-    faster); the recorded norm is of the exact gradient at the iterate.
+    scale GRAD_NOISE; the recorded norm is of the exact gradient at the
+    iterate.
     Divergence raises DivergenceError.
     """
     if isinstance(objective, str):
@@ -360,7 +366,7 @@ def convergence_probe(
             if not math.isfinite(loss):
                 raise DivergenceError(f"objective diverged at step {t} (seed {seed})")
             min_sq = min(min_sq, float(grad @ grad))
-            step_grad = grad + grad_noise * rng.standard_normal(grad.shape)
+            step_grad = grad + GRAD_NOISE * rng.standard_normal(grad.shape)
             # overflow in a diverging run surfaces as a non-finite loss above
             with np.errstate(over="ignore", invalid="ignore"):
                 adamw_step(

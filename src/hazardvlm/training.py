@@ -70,8 +70,8 @@ class TrainConfig:
         if self.mode not in ("pretrain", "lora"):
             raise ValueError(f"unknown training mode {self.mode!r}")
         # written as `not <valid>`, so NaN fails every check
-        if not self.soft_argmax_tau > 0:
-            raise ValueError(f"soft_argmax_tau must be positive, got {self.soft_argmax_tau}")
+        if not 0 < self.soft_argmax_tau < math.inf:
+            raise ValueError(f"soft_argmax_tau must be positive and finite, got {self.soft_argmax_tau}")
         if not 0 <= self.warmup_frac <= 1:
             raise ValueError(f"warmup_frac must be in [0, 1], got {self.warmup_frac}")
         if not 0 <= self.warmup_start_lr <= self.base_lr < math.inf:
@@ -142,7 +142,7 @@ def sample_losses(
     feats, amap = model.encode_image(Tensor(sample.image))
     gx, gy = soft_argmax(amap, tau)
     truth = pixel_to_grid(sample.hazard, model.config.patch_size)
-    closs = coord_loss([(gx, gy)], [truth])
+    closs = coord_loss((gx, gy), truth)
 
     if prompt is None:
         prompt = model.project(model.encode_text(prompt_ids), "text")
@@ -318,7 +318,7 @@ def train(
 
 class Predictor:
     """Hazard point (hard argmax of the attention map) and caption token ids
-    for images, from one model and text prompt.
+    for images, from one model prompted with ``HAZARD_PROMPT``.
 
     Construction does the per-model work once: every adapter is merged into
     its base weight (``HazardModel.merged``) and the prompt's projected
@@ -326,8 +326,9 @@ class Predictor:
     the weights change: ``evaluate`` builds one per call.
     """
 
-    def __init__(self, model: HazardModel, prompt_ids: Sequence[int]):
+    def __init__(self, model: HazardModel, vocab: Vocabulary):
         self.model = model.merged()
+        prompt_ids = tokenize(HAZARD_PROMPT, vocab)
         self.prompt_latent = self.model.project(self.model.encode_text(prompt_ids), "text")
 
     def __call__(
@@ -387,16 +388,16 @@ def evaluate(
     model: HazardModel,
     samples: Sequence[AnnotatedSample],
     vocab: Vocabulary,
-    max_samples: int | None = None,
+    max_samples: int = 0,
 ) -> MetricsReport:
     """Greedy decoding plus hard-argmax localization over a sample set,
-    or over its first ``max_samples`` samples (0 or None: all of them).
+    or over its first ``max_samples`` samples (0: all of them).
     The evaluated samples run as one batch (``Predictor.batch``)."""
     if not samples:
         raise ValueError("empty evaluation set")
-    if max_samples is not None and max_samples < 0:
-        raise ValueError(f"max_samples must be >= 0 (0 or None: no cap), got {max_samples}")
-    predict = Predictor(model, tokenize(HAZARD_PROMPT, vocab))
+    if max_samples < 0:
+        raise ValueError(f"max_samples must be >= 0 (0: no cap), got {max_samples}")
+    predict = Predictor(model, vocab)
     limit = len(samples) if not max_samples else min(len(samples), max_samples)
     batch = list(samples[:limit])
     results = predict.batch(Tensor(np.stack([s.image for s in batch])))

@@ -1,8 +1,11 @@
 """The benchmark's use of the program's API. The tracer patches functions
 at the names each caller looks them up by; installing and removing it must
 leave every name as it was. The workloads' set-up saves, loads and applies
-checkpoints through the library; one round of each must pass its checks."""
+checkpoints through the library; one round of each must pass its checks,
+and a traced round must give every per-layer metric the benchmark names."""
 
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -34,7 +37,7 @@ def test_tracer_install_then_uninstall_restores_every_name(monkeypatch):
     sys.modules.pop("bench_trace", None)
 
 
-@pytest.mark.parametrize("name", ["finetune_lora", "eval_greedy", "predict_cli"])
+@pytest.mark.parametrize("name", ["pretrain", "finetune_lora", "eval_greedy", "predict_cli"])
 def test_one_benchmark_round_passes_its_checks(tmp_path, monkeypatch, name):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import bench_workloads as bw
@@ -44,3 +47,26 @@ def test_one_benchmark_round_passes_its_checks(tmp_path, monkeypatch, name):
     r = workload.run_round(bw.Stopwatch())
     assert r.fails + workload.check([r]) == []
     assert r.failed == 0
+
+
+def test_a_traced_round_gives_every_per_layer_metric(tmp_path, monkeypatch):
+    # the tracer's hooks take the arguments of the functions they wrap, so a
+    # changed signature fails here, not only in a --trace 1 run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import bench_trace
+    import bench_workloads as bw
+
+    workload = bw.WORKLOADS["pretrain"]()
+    workload.setup(tmp_path, 1)
+    tracer = bench_trace.Tracer("t")
+    tracer.install()
+    try:
+        r = workload.run_round(bw.Stopwatch(tracer))
+    finally:
+        tracer.uninstall()
+    assert r.fails == [] and r.failed == 0
+    values = bench_trace.per_layer_values(tracer, *workload.tape_nodes())
+    spec = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    for metric in spec["per_layer"]:
+        assert math.isfinite(values[metric["name"]]), metric["name"]
+    sys.modules.pop("bench_trace", None)

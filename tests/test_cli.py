@@ -724,12 +724,13 @@ def test_out_of_range_seed_is_usage_error_before_any_work(tmp_path, trained, cap
 # each was a ValueError traceback from inside train (lambda_coord -1 too),
 # a run that ended in exit 3 "divergence" (both betas, adam_eps 0, and the
 # NaN or infinite weights), or a run that trained and exited 0
-# (clip_max_norm -1, weight_decay -1, adam_eps inf)
+# (clip_max_norm -1, weight_decay -1, adam_eps inf, soft_argmax_tau inf)
 @pytest.mark.parametrize(
     "key, value",
     [
         ("soft_argmax_tau", "0"),
         ("soft_argmax_tau", "nan"),
+        ("soft_argmax_tau", "inf"),
         ("warmup_frac", "nan"),
         ("warmup_frac", "2"),
         ("base_lr", "-1"),

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hazardvlm.data import (
+    CAPTION_TEMPLATE,
+    END_ID,
+    PAD_ID,
     RESERVED,
+    START_ID,
+    UNK_ID,
     AnnotatedSample,
     DataError,
     SynthConfig,
@@ -16,7 +22,6 @@ from hazardvlm.data import (
     detokenize,
     load_dataset,
     load_image,
-    parse_caption_coords,
     patch_center,
     save_dataset,
     split,
@@ -177,7 +182,8 @@ REJECTIONS = [
     (_line(image=None), "schema", "\"missing key 'image'\""),
     (_line(caption=None), "schema", "\"missing key 'caption'\""),
     (_line(category="weird"), "schema", "category must be one of ('predictable', 'unpredictable')"),
-    ("[" * 100_000 + "]" * 100_000, "schema", "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+    # json.loads raises RecursionError, not JSONDecodeError: it was filed as schema
+    ("[" * 100_000 + "]" * 100_000, "json", "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
     (_line(hazard=7), "hazard", "hazard must be a single [x, y] point"),
     (_line(hazard=[1, "a"]), "hazard", "hazard coordinates must be finite numbers"),
     (_line(hazard=[float("nan"), 0]), "hazard", "hazard coordinates must be finite numbers"),
@@ -265,7 +271,7 @@ def test_random_byte_lines_never_raise(lines):
 
 def test_tokenize_empty_caption_is_start_end():
     vocab = build_vocab(["a b"])
-    assert tokenize("", vocab) == [vocab.start_id, vocab.end_id]
+    assert tokenize("", vocab) == [START_ID, END_ID]
 
 
 def test_round_trip_in_vocab_caption():
@@ -283,7 +289,7 @@ def test_vocab_counts_unique_content_tokens():
 def test_unknown_tokens_map_to_unk():
     vocab = build_vocab(["a b"])
     ids = tokenize("a zebra", vocab)
-    assert ids[2] == vocab.unk_id
+    assert ids[2] == UNK_ID
 
 
 def test_vocab_save_load_preserves_reserved_ids(tmp_path):
@@ -292,7 +298,7 @@ def test_vocab_save_load_preserves_reserved_ids(tmp_path):
     vocab.save(path)
     loaded = Vocabulary.load(path)
     assert loaded.tokens == vocab.tokens
-    assert loaded.pad_id == 0 and loaded.start_id == 1 and loaded.end_id == 2 and loaded.unk_id == 3
+    assert [loaded.index[t] for t in RESERVED] == [PAD_ID, START_ID, END_ID, UNK_ID] == [0, 1, 2, 3]
 
 
 @given(st.lists(st.text(alphabet="abcxyz ", min_size=1, max_size=20), min_size=1, max_size=8))
@@ -365,13 +371,12 @@ def test_synth_quadrant_coverage():
         assert 150 <= count <= 350, (quadrant, count)
 
 
-def test_caption_parses_back_to_patch_center():
+def test_caption_names_the_patch_center():
     cfg = SynthConfig()
     for s in synth_generate(50, cfg, seed=3):
-        coords = parse_caption_coords(s.caption)
-        assert coords is not None
-        assert coords[0] == patch_center(int(s.hazard.x), cfg.patch_size)
-        assert coords[1] == patch_center(int(s.hazard.y), cfg.patch_size)
+        x = patch_center(int(s.hazard.x), cfg.patch_size)
+        y = patch_center(int(s.hazard.y), cfg.patch_size)
+        assert s.caption == CAPTION_TEMPLATE.format(x=x, y=y)
 
 
 def test_brightest_pixel_near_hazard_property():
@@ -397,6 +402,19 @@ def test_synth_config_validation():
         SynthConfig(noise_high=0.9)
     with pytest.raises(DataError):
         synth_generate(0, SynthConfig(), seed=0)
+
+
+def test_synth_with_a_tiny_sigma_warns_of_no_overflow():
+    # the blob's float32 exponent overflows to -inf, which exp maps to 0; it
+    # printed numpy's "overflow encountered in divide" three times
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        samples = synth_generate(3, SynthConfig(blob_sigma=1e-22), seed=0)
+    for s in samples:
+        assert np.all(np.isfinite(s.image))
+        # the blob is one pixel of its peak over noise below 0.3
+        assert s.image[0, int(s.hazard.y), int(s.hazard.x)] >= 0.85
+        assert np.sum(s.image > 0.3) == 1
 
 
 def test_synth_images_in_unit_range():

@@ -122,8 +122,10 @@ def test_soft_argmax_two_equal_masses_midpoint():
 
 
 def test_soft_argmax_requires_positive_tau():
-    with pytest.raises(ValueError):
-        soft_argmax(amap(np.ones((2, 2))), tau=0.0)
+    # at tau = inf the sharpened map is uniform and no gradient reaches the map
+    for tau in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            soft_argmax(amap(np.ones((2, 2))), tau=tau)
 
 
 def test_soft_argmax_approaches_hard_argmax():

@@ -45,16 +45,19 @@ def test_bleu_brevity_penalty():
 
 
 def test_bleu_smoothing_inert_on_positive_counts():
-    cand = "a b c d e".split()
-    ref = "a b c d f".split()
-    assert bleu4(cand, ref, smooth=True) == bleu4(cand, ref, smooth=False)
+    # every n-gram order matches, so the score is the unsmoothed mean of the
+    # clipped precisions; the longer candidate takes no brevity penalty
+    cand = "a b c d a b".split()
+    ref = "a b c d".split()
+    assert bleu4(cand, ref) == pytest.approx((4 / 6 * 3 / 5 * 2 / 4 * 1 / 3) ** 0.25, abs=1e-12)
 
 
 def test_bleu_smoothing_handles_zero_fourgrams():
+    # p1 = 2/3, p2 = 1/2; no 3-gram matches and there is no 4-gram, so
+    # each takes a half count over max(total, 1) = 1
     cand = "a b c".split()
     ref = "a b d".split()
-    assert bleu4(cand, ref, smooth=False) == 0.0
-    assert 0.0 < bleu4(cand, ref, smooth=True) < 1.0
+    assert bleu4(cand, ref) == pytest.approx((2 / 3 * 1 / 2 * 1 / 2 * 1 / 2) ** 0.25, abs=1e-12)
 
 
 def test_bleu_clipping_counts_repeats():
@@ -222,36 +225,27 @@ def _reference_ngrams(tokens, n):
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def _reference_clipped_overlap(cand, refs):
-    # a Python max over the references for every candidate n-gram
-    total = 0
-    for gram, count in cand.items():
-        total += min(count, max((ref[gram] for ref in refs), default=0))
-    return total
+def _reference_clipped_overlap(cand, ref):
+    # a Python min for every candidate n-gram
+    return sum(min(count, ref[gram]) for gram, count in cand.items())
 
 
-def _reference_bleu4(candidate, refs, smooth=True):
+def _reference_bleu4(candidate, reference):
     if len(candidate) == 0:
         return 0.0
     log_sum = 0.0
     for n in range(1, 5):
         cand = _reference_ngrams(candidate, n)
         total = sum(cand.values())
-        overlap = _reference_clipped_overlap(cand, [_reference_ngrams(r, n) for r in refs])
-        if overlap > 0:
-            p = overlap / total
-        elif smooth:
-            p = 1.0 / (2.0 * max(total, 1))
-        else:
-            return 0.0
+        overlap = _reference_clipped_overlap(cand, _reference_ngrams(reference, n))
+        p = overlap / total if overlap > 0 else 1.0 / (2.0 * max(total, 1))
         log_sum += math.log(p)
-    ref_len = min((abs(len(r) - len(candidate)), len(r)) for r in refs)[1]
-    return min(1.0, math.exp(1.0 - ref_len / len(candidate))) * math.exp(log_sum / 4.0)
+    return min(1.0, math.exp(1.0 - len(reference) / len(candidate))) * math.exp(log_sum / 4.0)
 
 
 def _reference_rouge_n(candidate, reference, n):
     cand, ref = _reference_ngrams(candidate, n), _reference_ngrams(reference, n)
-    overlap = _reference_clipped_overlap(cand, [ref])
+    overlap = _reference_clipped_overlap(cand, ref)
     cand_total, ref_total = sum(cand.values()), sum(ref.values())
     if overlap == 0 or cand_total == 0 or ref_total == 0:
         return 0.0
@@ -282,13 +276,12 @@ def _reference_rouge_l(candidate, reference):
 nonempty = st.lists(st.sampled_from("abcd"), min_size=1, max_size=12)
 
 
-@given(st.lists(st.sampled_from("abcd"), max_size=12), st.lists(nonempty, min_size=1, max_size=3), st.booleans())
+@given(st.lists(st.sampled_from("abcd"), max_size=12), nonempty)
 @settings(max_examples=200, deadline=None)
-def test_bleu4_and_rouge_n_give_the_bits_of_per_gram_clipping(cand, refs, smooth):
-    assert bleu4(cand, refs, smooth=smooth) == _reference_bleu4(cand, refs, smooth)
-    assert bleu4(cand, refs[0], smooth=smooth) == _reference_bleu4(cand, refs[:1], smooth)
+def test_bleu4_and_rouge_n_give_the_bits_of_per_gram_clipping(cand, ref):
+    assert bleu4(cand, ref) == _reference_bleu4(cand, ref)
     for n in (1, 2, 3):
-        assert rouge_n(cand, refs[0], n) == _reference_rouge_n(cand, refs[0], n)
+        assert rouge_n(cand, ref, n) == _reference_rouge_n(cand, ref, n)
 
 
 @given(st.lists(st.tuples(st.lists(st.sampled_from("abcd"), max_size=12), nonempty), min_size=1, max_size=6))
@@ -301,7 +294,7 @@ def test_corpus_report_gives_the_bits_of_per_metric_calls(pairs):
     report = corpus_report(refs, pts, cands, preds)
     b = r1 = r2 = rl = 0.0
     for cand, ref in pairs:
-        b += _reference_bleu4(cand, [ref])
+        b += _reference_bleu4(cand, ref)
         r1 += _reference_rouge_n(cand, ref, 1)
         r2 += _reference_rouge_n(cand, ref, 2)
         rl += _reference_rouge_l(cand, ref)
@@ -325,13 +318,13 @@ def test_metrics_give_the_bits_of_the_reference_implementations(cand, ref, nonem
     assert rouge_l(cand, ref) == _reference_rouge_l(cand, ref)
     for n in (1, 2):
         assert rouge_n(cand, ref, n) == _reference_rouge_n(cand, ref, n)
-    assert bleu4(cand, nonempty_ref) == _reference_bleu4(cand, [nonempty_ref])
+    assert bleu4(cand, nonempty_ref) == _reference_bleu4(cand, nonempty_ref)
     refs, cands = [nonempty_ref, nonempty_ref], [cand, ref]
     pts = [PixelPoint(0.0, 1.0), PixelPoint(2.0, 0.5)]
     report = corpus_report(refs, pts, cands, pts)
     n = len(refs)
     want = (
-        sum(_reference_bleu4(c, [r]) for c, r in zip(cands, refs)) / n,
+        sum(_reference_bleu4(c, r) for c, r in zip(cands, refs)) / n,
         sum(_reference_rouge_n(c, r, 1) for c, r in zip(cands, refs)) / n,
         sum(_reference_rouge_n(c, r, 2) for c, r in zip(cands, refs)) / n,
         sum(_reference_rouge_l(c, r) for c, r in zip(cands, refs)) / n,

@@ -391,7 +391,8 @@ def test_training_sample_tape_pin():
     # decoder positional rows, the remaining concat is fuse. Every linear
     # layer is one node, and so is each head split, head merge and
     # attention core: the matmuls left are the 8 products with the values,
-    # the softmax left is soft_argmax's
+    # the softmax left is soft_argmax's. The scales are soft_argmax's 1/tau
+    # and the two attention-pool means; the one-scene coordinate loss has none
     samples = synth_generate(1, SynthConfig(), seed=0)
     vocab = build_vocab([s.caption for s in samples] + [HAZARD_PROMPT])
     model = HazardModel(ModelConfig(vocab_size=len(vocab)), seed=0)
@@ -399,10 +400,10 @@ def test_training_sample_tape_pin():
     with tz.Tape() as tape:
         sample_losses(model, samples[0], prompt_ids, vocab, TrainConfig().soft_argmax_tau)
     ops = Counter(node.op for node in tape.nodes)
-    assert len(tape.nodes) == 162
+    assert len(tape.nodes) == 161
     assert (ops["matmul"], ops["slice_axis"], ops["softmax"], ops["concat"]) == (8, 2, 1, 1)
     assert (ops["linear"], ops["split_heads"], ops["merge_heads"], ops["attention_weights"]) == (48, 24, 8, 8)
-    assert (ops["add"], ops["reshape"], ops["permute"], ops["scale"]) == (18, 2, 0, 4)
+    assert (ops["add"], ops["reshape"], ops["permute"], ops["scale"]) == (18, 2, 0, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,10 @@ def test_schedule_domain_errors():
         lr_at(sched, sched.total_steps + 1)
     with pytest.raises(ValueError):
         ScheduleConfig(warmup_steps=300, total_steps=300)
+    # NaN, negative and infinite rates were accepted: lr_at gave nan, -0.5 or inf
+    for base_lr, warmup_start_lr in [(math.nan, 3e-5), (1e-4, math.nan), (-1.0, -2.0), (math.inf, 3e-5)]:
+        with pytest.raises(ValueError, match="0 <= warmup_start_lr <= base_lr < inf"):
+            ScheduleConfig(base_lr=base_lr, warmup_start_lr=warmup_start_lr, total_steps=10)
 
 
 @given(st.integers(0, 300))

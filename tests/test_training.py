@@ -666,7 +666,7 @@ def test_batched_generate_matches_single_calls(monkeypatch, top_p, temperature, 
 @pytest.mark.parametrize("top_p, seed", [(0.0, 0), (0.9, 7)])
 def test_predictor_batch_matches_single_image_calls(top_p, seed):
     samples, vocab = make_dataset(8)
-    predict = Predictor(_ragged_model(vocab), tokenize(HAZARD_PROMPT, vocab))
+    predict = Predictor(_ragged_model(vocab), vocab)
     images = np.stack([s.image for s in samples])
     singles = [predict(Tensor(image), top_p=top_p, temperature=0.95, seed=seed) for image in images]
     assert predict.batch(Tensor(images), top_p=top_p, temperature=0.95, seed=seed) == singles
@@ -681,7 +681,7 @@ def _decode_overflows(vocab):
 
 def test_inference_failing_a_stage_check_reruns_guarded_to_name_the_op():
     samples, vocab = make_dataset(3)
-    predict = Predictor(_decode_overflows(vocab), tokenize(HAZARD_PROMPT, vocab))
+    predict = Predictor(_decode_overflows(vocab), vocab)
     images = Tensor(np.stack([s.image for s in samples]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
@@ -697,7 +697,7 @@ def test_inference_failing_a_stage_check_reruns_guarded_to_name_the_op():
 
 def test_inference_names_the_stage_when_the_guarded_rerun_passes(monkeypatch):
     samples, vocab = make_dataset(2)
-    predict = Predictor(small_model(vocab), tokenize(HAZARD_PROMPT, vocab))
+    predict = Predictor(small_model(vocab), vocab)
     generate, calls = predict.model.generate, []
 
     def fails_once(*args, **kwargs):
@@ -714,7 +714,7 @@ def test_inference_names_the_stage_when_the_guarded_rerun_passes(monkeypatch):
 
 def test_batched_greedy_inference_checks_once_per_stage_and_decode_step(monkeypatch):
     samples, vocab = make_dataset(8)
-    predict = Predictor(_ragged_model(vocab), tokenize(HAZARD_PROMPT, vocab))
+    predict = Predictor(_ragged_model(vocab), vocab)
     images = Tensor(np.stack([s.image for s in samples]))
     decoder_states, steps = predict.model._decoder_states, []
 
@@ -810,6 +810,7 @@ def test_evaluate_max_samples_and_empty():
     samples, vocab = make_dataset(8)
     model = small_model(vocab)
     assert evaluate(model, samples, vocab, max_samples=3).count == 3
+    assert evaluate(model, samples, vocab, max_samples=0).count == 8  # 0: no cap
     with pytest.raises(ValueError):
         evaluate(model, [], vocab)
 
