@@ -35,7 +35,6 @@ from .training import (
     CheckpointError,
     Predictor,
     TrainConfig,
-    TrainingDiverged,
     apply_checkpoint,  # noqa: F401 (patched by the benchmark tracer)
     evaluate,
     load_checkpoint,
@@ -424,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
         # checkpoint's weights that overflow
         print(f"data error: checkpoint weights overflow: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (TrainingDiverged, DivergenceError) as exc:
+    except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
 

@@ -84,7 +84,7 @@ def soft_argmax(a: AttentionMap, tau: float) -> tuple[Tensor, Tensor]:
         raise ValueError(f"tau must be positive and finite, got {tau}")
     h, w = a.height, a.width
     logits = tz.scale(tz.log(tz.shift(a.grid, LOG_EPS)), 1.0 / tau)
-    p = tz.softmax(tz.reshape(logits, (1, h * w)), axis=1)
+    p = tz.softmax(tz.reshape(logits, (1, h * w)))
     grid_x = np.tile(np.arange(w, dtype=np.float32), h).reshape(1, h * w)
     grid_y = np.repeat(np.arange(h, dtype=np.float32), w).reshape(1, h * w)
     gx = tz.tsum(tz.mul(p, Tensor(grid_x)))

@@ -23,6 +23,9 @@ from .tensor import Tensor
 
 INIT_STD = 0.02
 MASK_VALUE = -1e9
+# cap on a config's base parameters: 64 MiB of float32 per copy, of which
+# training holds about five (weights, gradients, moments, scratch)
+MAX_PARAMETERS = 2**24
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,11 @@ class ModelConfig:
             raise ValueError("need 1 <= lora_rank <= min(embed_dim, latent_dim)")
         if self.projector not in ("linear", "mlp"):
             raise ValueError(f"unknown projector kind {self.projector!r}")
+        count = 0  # one declared shape at a time: nothing is allocated
+        for _, shape, _ in _specs(self):
+            count += math.prod(shape)
+            if count > MAX_PARAMETERS:
+                raise ValueError(f"the model would have more than MAX_PARAMETERS = {MAX_PARAMETERS} base parameters")
 
     @property
     def grid_side(self) -> int:
@@ -113,11 +121,10 @@ def patchify(image: Tensor, patch_size: int) -> Tensor:
 
 @dataclass
 class ModelParams:
-    """Named tensors, adapters keyed by target name, and the trainable set."""
+    """Named tensors and adapters keyed by target name."""
 
     tensors: dict[str, Tensor] = field(default_factory=dict)
     adapters: dict[str, LoRAAdapter] = field(default_factory=dict)
-    trainable: set[str] = field(default_factory=set)
 
 
 def lora_target_names(config: ModelConfig) -> list[str]:
@@ -170,77 +177,70 @@ class DecodeCache:
         self.own = [None if pair is None else pick(pair) for pair in self.own]
 
 
+def _specs(config: ModelConfig):
+    """(name, shape, initializer) of every base parameter, one at a time,
+    in the order the random init draws them."""
+    d, k = config.embed_dim, config.latent_dim
+    hidden = d * config.ffn_mult
+
+    def linear(name, d_in, d_out, suffix=""):
+        yield f"{name}.w{suffix}", (d_in, d_out), "normal"
+        yield f"{name}.b{suffix}", (d_out,), "zeros"
+
+    def ln(prefix):
+        yield f"{prefix}.g", (d,), "ones"
+        yield f"{prefix}.b", (d,), "zeros"
+
+    def attn(prefix, kv_dim):
+        for w, rows in (("q", d), ("k", kv_dim), ("v", kv_dim), ("o", d)):
+            yield from linear(prefix, rows, d, w)
+
+    def ffn(prefix):
+        yield from linear(prefix, d, hidden, "1")
+        yield from linear(prefix, hidden, d, "2")
+
+    def encoder_block(prefix):
+        yield from ln(f"{prefix}.ln1")
+        yield from attn(f"{prefix}.attn", d)
+        yield from ln(f"{prefix}.ln2")
+        yield from ffn(f"{prefix}.ffn")
+
+    yield from linear("vis.patch_embed", config.patch_dim, d)
+    yield "vis.pos", (config.n_patches, d), "normal"
+    for i in range(config.encoder_layers):
+        yield from encoder_block(f"vis.{i}")
+
+    yield "txt.embed", (config.vocab_size, d), "normal"
+    yield "txt.pos", (config.max_caption_len, d), "normal"
+    for i in range(config.encoder_layers):
+        yield from encoder_block(f"txt.{i}")
+
+    if config.projector == "linear":
+        yield from linear("proj.img", d, k)
+        yield from linear("proj.txt", d, k)
+    else:
+        for which in ("img", "txt"):
+            yield from linear(f"proj.{which}", d, d, "1")
+            yield from linear(f"proj.{which}", d, k, "2")
+
+    yield "dec.embed", (config.vocab_size, d), "normal"
+    yield "dec.pos", (config.max_caption_len, d), "normal"
+    for i in range(config.decoder_layers):
+        yield from ln(f"dec.{i}.ln1")
+        yield from attn(f"dec.{i}.self", d)
+        yield from ln(f"dec.{i}.ln2")
+        yield from attn(f"dec.{i}.cross", k)
+        yield from ln(f"dec.{i}.ln3")
+        yield from ffn(f"dec.{i}.ffn")
+    yield from ln("dec.ln_f")
+    yield from linear("dec.out", d, config.vocab_size)
+
+
 def parameter_specs(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
     """Every base parameter's shape and initializer ("normal", "zeros" or
     "ones"), by name, in the order the random init draws them. Nothing is
     allocated, so the shapes of any valid config can be checked first."""
-    d, k = config.embed_dim, config.latent_dim
-    hidden = d * config.ffn_mult
-    specs: dict[str, tuple[tuple[int, ...], str]] = {}
-
-    def weight(name, *shape):
-        specs[name] = (shape, "normal")
-
-    def zeros(name, *shape):
-        specs[name] = (shape, "zeros")
-
-    def linear(name, d_in, d_out):
-        weight(f"{name}.w", d_in, d_out)
-        zeros(f"{name}.b", d_out)
-
-    def ln(prefix):
-        specs[f"{prefix}.g"] = ((d,), "ones")
-        zeros(f"{prefix}.b", d)
-
-    def attn(prefix, kv_dim):
-        for w, rows in (("q", d), ("k", kv_dim), ("v", kv_dim), ("o", d)):
-            weight(f"{prefix}.w{w}", rows, d)
-            zeros(f"{prefix}.b{w}", d)
-
-    def ffn(prefix):
-        weight(f"{prefix}.w1", d, hidden)
-        zeros(f"{prefix}.b1", hidden)
-        weight(f"{prefix}.w2", hidden, d)
-        zeros(f"{prefix}.b2", d)
-
-    def encoder_block(prefix):
-        ln(f"{prefix}.ln1")
-        attn(f"{prefix}.attn", d)
-        ln(f"{prefix}.ln2")
-        ffn(f"{prefix}.ffn")
-
-    linear("vis.patch_embed", config.patch_dim, d)
-    weight("vis.pos", config.n_patches, d)
-    for i in range(config.encoder_layers):
-        encoder_block(f"vis.{i}")
-
-    weight("txt.embed", config.vocab_size, d)
-    weight("txt.pos", config.max_caption_len, d)
-    for i in range(config.encoder_layers):
-        encoder_block(f"txt.{i}")
-
-    if config.projector == "linear":
-        linear("proj.img", d, k)
-        linear("proj.txt", d, k)
-    else:
-        for which in ("img", "txt"):
-            weight(f"proj.{which}.w1", d, d)
-            zeros(f"proj.{which}.b1", d)
-            weight(f"proj.{which}.w2", d, k)
-            zeros(f"proj.{which}.b2", k)
-
-    weight("dec.embed", config.vocab_size, d)
-    weight("dec.pos", config.max_caption_len, d)
-    for i in range(config.decoder_layers):
-        ln(f"dec.{i}.ln1")
-        attn(f"dec.{i}.self", d)
-        ln(f"dec.{i}.ln2")
-        attn(f"dec.{i}.cross", k)
-        ln(f"dec.{i}.ln3")
-        ffn(f"dec.{i}.ffn")
-    ln("dec.ln_f")
-    linear("dec.out", d, config.vocab_size)
-    return specs
+    return {name: (shape, init) for name, shape, init in _specs(config)}
 
 
 def adapter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -284,10 +284,13 @@ class HazardModel:
     def _hold(self, config: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
         self.config = config
         self.params = ModelParams({n: Tensor(a, requires_grad=True) for n, a in arrays.items()})
-        self.params.trainable = set(self.params.tensors)
-        self.lora_enabled = False
 
     # -- LoRA --------------------------------------------------------------
+
+    @property
+    def lora_enabled(self) -> bool:
+        """Whether adapters are attached (each use of a target adds A.B)."""
+        return bool(self.params.adapters)
 
     def enable_lora(self, seed: int = 0) -> None:
         """Attach fresh adapters (``a`` drawn, ``b`` zero), freeze the base,
@@ -309,17 +312,11 @@ class HazardModel:
             self.params.adapters[target] = LoRAAdapter(a=a, b=b, target=target)
             self.params.tensors[f"lora.{target}.a"] = a
             self.params.tensors[f"lora.{target}.b"] = b
-        self.lora_enabled = True
-        trainable = {f"lora.{t}.a" for t in self.params.adapters}
-        trainable |= {f"lora.{t}.b" for t in self.params.adapters}
-        trainable |= {
-            n
-            for n in self.params.tensors
-            if n.startswith("proj.") and n.rsplit(".", 1)[-1].startswith("b")
-        }
-        self.params.trainable = trainable
+        # the base freezes: only the adapter factors and projector biases train
         for name, t in self.params.tensors.items():
-            t.requires_grad = name in trainable
+            t.requires_grad = name.startswith("lora.") or (
+                name.startswith("proj.") and name.rsplit(".", 1)[-1].startswith("b")
+            )
 
     def merged(self) -> "HazardModel":
         """A view of this model with each adapter merged into its base weight
@@ -337,22 +334,21 @@ class HazardModel:
             weight = effective_weight(tensors[name], adapter)
             tensors[name] = weight if tz.recording() else Tensor(weight.data)
         view.params = ModelParams(tensors=tensors)
-        view.lora_enabled = False
         return view
 
     def trainable_tensors(self) -> dict[str, Tensor]:
-        return {n: self.params.tensors[n] for n in sorted(self.params.trainable)}
+        """The tensors that require a gradient, sorted by name."""
+        return {n: t for n, t in sorted(self.params.tensors.items()) if t.requires_grad}
 
     def frozen_tensors(self) -> dict[str, Tensor]:
-        return {
-            n: t for n, t in self.params.tensors.items() if n not in self.params.trainable
-        }
+        """The tensors that require no gradient, in parameter order."""
+        return {n: t for n, t in self.params.tensors.items() if not t.requires_grad}
 
     # -- forward pieces ------------------------------------------------------
 
     def _w(self, name: str) -> Tensor:
         t = self.params.tensors[name]
-        if self.lora_enabled and name in self.params.adapters:
+        if name in self.params.adapters:
             return effective_weight(t, self.params.adapters[name])
         return t
 

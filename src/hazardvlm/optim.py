@@ -19,7 +19,9 @@ from .tensor import DEFAULT_DTYPE, Tensor
 
 
 class DivergenceError(RuntimeError):
-    """An optimization run produced a non-finite value."""
+    """An optimization run diverged: it produced a non-finite value (a
+    loss, an op's output or a gradient), or ``training.train``'s loss
+    grew past its divergence guard."""
 
 
 class _Layout:
@@ -303,12 +305,12 @@ def quadratic_objective(dims: int, seed: int) -> tuple[Objective, np.ndarray]:
     return f, theta0
 
 
-def logistic_objective(dims: int, seed: int, n_points: int = 64) -> tuple[Objective, np.ndarray]:
-    """Mean logistic loss on a random linearly separable-ish problem."""
+def logistic_objective(dims: int, seed: int) -> tuple[Objective, np.ndarray]:
+    """Mean logistic loss on a random linearly separable-ish problem of 64 points."""
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n_points, dims))
+    x = rng.standard_normal((64, dims))
     w_true = rng.standard_normal(dims)
-    y = np.sign(x @ w_true + 0.1 * rng.standard_normal(n_points))
+    y = np.sign(x @ w_true + 0.1 * rng.standard_normal(len(x)))
     theta0 = rng.standard_normal(dims)
 
     def f(theta: np.ndarray) -> tuple[float, np.ndarray]:

@@ -365,17 +365,15 @@ def gelu(x: Tensor) -> Tensor:
     return _record("gelu", (x,), out, bwd)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-stabilized softmax along `axis`; rows sum to 1 within 1e-6."""
+def softmax(x: Tensor) -> Tensor:
+    """Max-stabilized softmax along the last axis; rows sum to 1 within 1e-6."""
     x = _as_tensor(x)
-    if not -x.data.ndim <= axis < x.data.ndim:
-        raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
-    z = x.data - x.data.max(axis=axis, keepdims=True)
+    z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
+        dot = (g * out).sum(axis=-1, keepdims=True)
         return ((g - dot) * out,)
 
     return _record("softmax", (x,), out, bwd)
@@ -427,10 +425,10 @@ def tsum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return _record("sum", (x,), np.asarray(out), bwd)
 
 
-def mean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def mean(x: Tensor, axis: int | None = None) -> Tensor:
     x = _as_tensor(x)
     count = x.size if axis is None else x.shape[axis]
-    return scale(tsum(x, axis=axis, keepdims=keepdims), 1.0 / count)
+    return scale(tsum(x, axis=axis), 1.0 / count)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -592,8 +590,9 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _record("concat", parts, np.concatenate([p.data for p in parts], axis=axis), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine.
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (1e-5 added to
+    the variance), then affine.
 
     A finite row whose variance overflows raises NonFiniteError, guard on
     or off: its ``1/sqrt(var)`` would be 0 and the row would silently
@@ -609,7 +608,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     # never negative, so its max is below inf unless a row is inf or NaN
     if not var.max(initial=0.0) < math.inf and np.isfinite(x.data).all():
         raise NonFiniteError("non-finite values produced by op 'layer_norm'")
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     y = c * inv
     out = y * gain.data + bias.data
 

@@ -24,7 +24,7 @@ from .localization import PixelPoint, grid_to_pixel, hard_argmax, pixel_to_grid,
 from .metrics import MetricsReport, corpus_report
 from .model import HazardModel, ModelConfig, adapter_shapes, check_finite, parameter_specs
 from .objective import LossWeights, coord_loss, total_loss
-from .optim import AdamWState, FlatArrays, ScheduleConfig, adamw_step, clip_grad_norm, lr_at
+from .optim import AdamWState, DivergenceError, FlatArrays, ScheduleConfig, adamw_step, clip_grad_norm, lr_at
 from .tensor import Tape, Tensor
 
 # The text prompt paired with every image. The annotation task never
@@ -33,13 +33,9 @@ HAZARD_PROMPT = "identify the hazard."
 
 # The step log's smoothed loss is an exponential moving average with this
 # weight on the newest step; a loss above DIVERGENCE_FACTOR times the first
-# micro-batch's raises TrainingDiverged.
+# micro-batch's raises DivergenceError.
 EMA_ALPHA = 0.1
 DIVERGENCE_FACTOR = 100.0
-
-
-class TrainingDiverged(RuntimeError):
-    """Raw loss went non-finite or blew past the divergence guard."""
 
 
 @dataclass
@@ -198,7 +194,8 @@ def train(
     ``i`` is ``lr_at(schedule, i)``. Validation runs after every epoch.
     Backward sums each micro-batch into the trainable tensors' ``grad``,
     views into one flat buffer for the run; on return every ``grad`` is
-    None. A non-finite value inside the loop raises TrainingDiverged.
+    None. A non-finite value inside the loop, or a loss past the
+    divergence guard, raises ``optim.DivergenceError``.
 
     The weight-only work, merging the adapters and encoding the prompt,
     runs once per accumulation group (``_shared_prefix``); each micro-batch
@@ -264,8 +261,8 @@ def train(
                                 breakdown = _batch_breakdown(view, batch, prompt_ids, vocab, cfg, prompt)
                         coord_v, text_v, raw = breakdown.values()
                         if not math.isfinite(raw):
-                            raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {step}")
-                    except (tz.NonFiniteError, TrainingDiverged):
+                            raise DivergenceError(f"non-finite loss at epoch {epoch}, step {step}")
+                    except (tz.NonFiniteError, DivergenceError):
                         # again with the per-op guard, prefix included, so the
                         # error names the op that first produced a non-finite value
                         with tz.finite_checks(True):
@@ -276,7 +273,7 @@ def train(
                     if initial_raw is None:
                         initial_raw = raw
                     elif raw > DIVERGENCE_FACTOR * max(initial_raw, 1e-12):
-                        raise TrainingDiverged(
+                        raise DivergenceError(
                             f"loss {raw:.4g} exceeds {DIVERGENCE_FACTOR}x initial {initial_raw:.4g}"
                         )
                     tape.backward(breakdown.total)
@@ -309,7 +306,7 @@ def train(
                         prefix = None  # the weights changed
                 result.val_reports.append(evaluate(model, d_val, vocab))
     except tz.NonFiniteError as exc:
-        raise TrainingDiverged(f"{exc} at optimizer step {step}") from exc
+        raise DivergenceError(f"{exc} at optimizer step {step}") from exc
     finally:
         for t in trainable.values():
             t.zero_grad()
@@ -491,11 +488,13 @@ def save_checkpoint(
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
+    """A checkpoint's fields in file order, each a view of its bytes."""
+
+    def __init__(self, blob: memoryview):
         self.blob = blob
         self.pos = 0
 
-    def take(self, count: int) -> bytes:
+    def take(self, count: int) -> memoryview:
         if self.pos + count > len(self.blob):
             raise Truncated(f"checkpoint truncated at byte {self.pos} (wanted {count} more)")
         out = self.blob[self.pos : self.pos + count]
@@ -506,7 +505,7 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
     def config(self) -> ModelConfig:
-        values = json.loads(self.take(self.u32()).decode("utf-8"))
+        values = json.loads(str(self.take(self.u32()), "utf-8"))
         types = {f.name: f.type for f in fields(ModelConfig)}
         if not isinstance(values, dict) or {k: type(v).__name__ for k, v in values.items()} != types:
             raise ValueError("stored model config does not have ModelConfig's fields and types")
@@ -515,7 +514,7 @@ class _Reader:
     def tensors(self) -> dict[str, np.ndarray]:
         entries: dict[str, np.ndarray] = {}
         for _ in range(self.u32()):
-            name = self.take(self.u32()).decode("utf-8")
+            name = str(self.take(self.u32()), "utf-8")
             if name in entries:
                 raise ValueError(f"tensor '{name}' stored twice")
             rank = self.u32()
@@ -533,7 +532,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         blob = Path(path).read_bytes()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    r = _Reader(blob)
+    r = _Reader(memoryview(blob))
     if r.take(4) != MAGIC:
         raise BadMagic(f"{path} is not a checkpoint (bad magic)")
     version = r.u32()
@@ -558,24 +557,28 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     return Checkpoint(config=config, tensors=tensors, step=step, epoch=epoch, seed=seed)
 
 
+def _check_names_and_shapes(tensors: dict[str, np.ndarray], expected: dict[str, tuple[int, ...]]) -> None:
+    """CheckpointError unless each checkpoint tensor's name is one of
+    ``expected``'s, with the shape it maps to."""
+    for name, arr in tensors.items():
+        if name not in expected:
+            raise CheckpointError(f"checkpoint tensor '{name}' not present in model")
+        if arr.shape != expected[name]:
+            raise CheckpointError(f"shape mismatch for '{name}': file {arr.shape}, model {expected[name]}")
+
+
 def apply_checkpoint(model: HazardModel, ckpt: Checkpoint) -> None:
     """Copy checkpoint tensors into a model by name.
 
-    Every name in the file must exist in the model with a matching shape.
-    Model tensors absent from the file keep their initialization, so a
-    pretrain checkpoint loads into a model with fresh adapters. The
-    program builds models from a file with ``restore_model``; the
-    benchmark's set-up loads checkpoints with this.
+    Every name in the file must exist in the model with a matching shape,
+    checked before any tensor is assigned. Model tensors absent from the
+    file keep their initialization, so a pretrain checkpoint loads into a
+    model with fresh adapters. The program builds models from a file with
+    ``restore_model``; the benchmark's set-up loads checkpoints with this.
     """
+    _check_names_and_shapes(ckpt.tensors, {name: t.shape for name, t in model.params.tensors.items()})
     for name, arr in ckpt.tensors.items():
-        if name not in model.params.tensors:
-            raise CheckpointError(f"checkpoint tensor '{name}' not present in model")
-        t = model.params.tensors[name]
-        if t.data.shape != arr.shape:
-            raise CheckpointError(
-                f"shape mismatch for '{name}': file {arr.shape}, model {t.data.shape}"
-            )
-        t.data = arr.astype(np.float32).copy()
+        model.params.tensors[name].data = arr.astype(np.float32)
 
 
 def restore_model(ckpt: Checkpoint) -> HazardModel:
@@ -588,11 +591,7 @@ def restore_model(ckpt: Checkpoint) -> HazardModel:
     expected = {name: shape for name, (shape, _) in parameter_specs(ckpt.config).items()}
     if any(name.startswith("lora.") for name in ckpt.tensors):
         expected |= adapter_shapes(ckpt.config)
-    for name, arr in ckpt.tensors.items():
-        if name not in expected:
-            raise CheckpointError(f"checkpoint tensor '{name}' not present in model")
-        if arr.shape != expected[name]:
-            raise CheckpointError(f"shape mismatch for '{name}': file {arr.shape}, model {expected[name]}")
+    _check_names_and_shapes(ckpt.tensors, expected)
     missing = [name for name in expected if name not in ckpt.tensors]
     if missing:
         raise CheckpointError(f"checkpoint lacks {len(missing)} tensor(s) of its model, first '{missing[0]}'")

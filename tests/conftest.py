@@ -122,7 +122,7 @@ def op_grad_cases(rng):
         ("shift", a34, lambda t: T.tsum(T.shift(t, 0.3))),
         ("log", positive, lambda t: T.tsum(T.log(t))),
         ("gelu", a34, lambda t: T.tsum(T.gelu(t))),
-        ("softmax", a34, lambda t: T.tsum(T.mul(T.softmax(t, axis=1), other))),
+        ("softmax", a34, lambda t: T.tsum(T.mul(T.softmax(t), other))),
         ("cross_entropy", a34, lambda t: T.cross_entropy(t, [0, 3, 1])),
         ("sum_axis", a34, lambda t: T.tsum(T.mul(T.tsum(t, axis=0), bias))),
         ("mean", a34, lambda t: T.tsum(T.mul(T.mean(t, axis=1), w3))),

@@ -3,7 +3,11 @@ import dataclasses
 import io
 import json
 import math
+import os
+import resource
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -15,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import CHECKPOINT_HEADER, sealed_checkpoint, with_repeated_last_tensor
 from hazardvlm.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, RunConfig, main
 from hazardvlm.data import SynthConfig, load_dataset
+from hazardvlm.model import HazardModel
 from hazardvlm.training import TrainConfig, load_checkpoint, restore_model, save_checkpoint
 
 FAST_TRAIN = [
@@ -273,6 +278,53 @@ def test_non_finite_value_in_training_exits_diverged(tmp_path, conf, capsys):
         rc = main([*argv, "--base-lr", "1e30", "--grad-accum-steps", "1"])
     assert rc == EXIT_DIVERGED
     assert "divergence: non-finite values produced by op '" in capsys.readouterr().err
+
+
+def test_non_finite_gradient_in_training_exits_diverged(tmp_path, capsys, monkeypatch):
+    # the forward stays finite, the gradient does not: clipping's check
+    class Poisoned(HazardModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.params.tensors["txt.0.ln1.b"].data += 1e19
+
+    data = tmp_path / "data.jsonl"
+    assert main(["synth", "--out", str(data), "--n", "5"]) == EXIT_OK
+    monkeypatch.setattr("hazardvlm.cli.HazardModel", Poisoned)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(["train", "--dataset", str(data), "--out", str(tmp_path / "x.ckpt")])
+    assert rc == EXIT_DIVERGED
+    assert capsys.readouterr().err == "divergence: non-finite gradient before clipping\n"
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+# The address space a command under test may map: enough for the program,
+# so a broken size check fails to allocate instead of filling memory
+ADDRESS_SPACE = 2**30
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def test_model_over_the_parameter_cap_is_usage_error_before_any_allocation(tmp_path):
+    data = tmp_path / "data.jsonl"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--out", str(data), "--n", "12"]) == EXIT_OK
+    (tmp_path / "big.conf").write_text("patch_size = 32\nembed_dim = 4194304\nheads = 1\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hazardvlm", "train", "--config", "big.conf", "--dataset", "data.jsonl",
+         "--out", "big.ckpt"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stderr.startswith("usage error: bad config: ") and "MAX_PARAMETERS" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.conf", "data.jsonl"]
 
 
 @pytest.mark.parametrize("value", [float("nan"), 3e38], ids=["nan", "overflow"])
@@ -628,7 +680,8 @@ def test_checkpoint_overflowing_only_at_decode_is_data_error(tmp_path, conf, tra
 @pytest.mark.parametrize("command", ["eval", "predict", "train"])
 def test_checkpoint_with_a_huge_stored_config_is_data_error(tmp_path, conf, trained, capsys, command):
     # a valid checksum over a config whose parameters would not fit in memory:
-    # the file's tensors are checked against the declared shapes first
+    # reading the stored config counts them against the cap, before any
+    # tensor is compared or parameter built
     data, ckpt = trained
     blob = ckpt.read_bytes()[CHECKPOINT_HEADER:]
     (size,) = struct.unpack_from("<I", blob)
@@ -645,7 +698,7 @@ def test_checkpoint_with_a_huge_stored_config_is_data_error(tmp_path, conf, trai
     rc = main([*argv, "--config", conf])
     assert rc == EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith("data error: ") and "shape mismatch for 'txt.pos'" in err
+    assert err.startswith("data error: ") and "malformed checkpoint payload" in err and "MAX_PARAMETERS" in err
 
 
 @pytest.mark.parametrize(

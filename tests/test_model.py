@@ -10,6 +10,7 @@ from hazardvlm.data import SynthConfig, build_vocab, synth_generate, tokenize
 from hazardvlm.localization import hard_argmax
 from hazardvlm.model import (
     MASK_VALUE,
+    MAX_PARAMETERS,
     HazardModel,
     LoRAAdapter,
     ModelConfig,
@@ -17,6 +18,7 @@ from hazardvlm.model import (
     effective_weight,
     lora_target_names,
     nucleus,
+    parameter_specs,
     patchify,
     probabilities,
 )
@@ -60,6 +62,20 @@ def test_config_validation():
         ModelConfig(lora_rank=0)
     with pytest.raises(ValueError):
         ModelConfig(lora_rank=64, embed_dim=32, latent_dim=16)
+
+
+def test_a_config_over_the_parameter_cap_is_rejected(monkeypatch):
+    count = sum(math.prod(shape) for shape, _ in parameter_specs(ModelConfig()).values())
+    assert count * 100 < MAX_PARAMETERS  # the default geometry is far below the cap
+    # 32 GiB of float64 draws for the patch embedding alone, never made
+    with pytest.raises(ValueError, match="MAX_PARAMETERS"):
+        ModelConfig(patch_size=32, embed_dim=4194304, heads=1)
+    # the count is the sum of every declared shape's size
+    monkeypatch.setattr("hazardvlm.model.MAX_PARAMETERS", count)
+    ModelConfig()
+    monkeypatch.setattr("hazardvlm.model.MAX_PARAMETERS", count - 1)
+    with pytest.raises(ValueError, match="MAX_PARAMETERS"):
+        ModelConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +320,10 @@ def test_zero_adapter_outputs_bit_identical():
 def test_lora_trainable_set_is_adapters_plus_projector_biases():
     model = HazardModel(TINY, seed=0)
     model.enable_lora(seed=0)
-    for name in model.params.trainable:
+    trainable = model.trainable_tensors()
+    for name in trainable:
         assert name.startswith("lora.") or (name.startswith("proj.") and ".b" in name)
-    assert "proj.img.b" in model.params.trainable
+    assert "proj.img.b" in trainable
     # frozen tensors no longer require grad
     assert not model.params.tensors["vis.patch_embed.w"].requires_grad
     assert model.params.tensors["lora.proj.img.w.a"].requires_grad
@@ -336,7 +353,7 @@ def _per_head_attention(model, x, kv, prefix, causal):
         scores = tz.scale(tz.matmul(qh, tz.permute(kh, (1, 0))), 1.0 / math.sqrt(dh))
         if causal:
             scores = tz.add(scores, mask)
-        attn = tz.softmax(scores, axis=1)
+        attn = tz.softmax(scores)
         maps.append(tz.reshape(attn, (1, n_q, n_kv)))
         heads.append(tz.matmul(attn, vh))
     out = tz.add(tz.matmul(tz.concat(heads, axis=1), p[f"{prefix}.wo"]), p[f"{prefix}.bo"])

@@ -88,17 +88,17 @@ def test_matmul_shared_matrix_gradient_sums_over_the_stack():
 
 
 def test_softmax_constant_vector():
-    out = T.softmax(Tensor([[1.7, 1.7, 1.7, 1.7]]), axis=1)
+    out = T.softmax(Tensor([[1.7, 1.7, 1.7, 1.7]]))
     np.testing.assert_allclose(out.data, 0.25, atol=1e-7)
 
 
 def test_softmax_single_element():
-    out = T.softmax(Tensor([[3.0]]), axis=1)
+    out = T.softmax(Tensor([[3.0]]))
     assert out.data.tolist() == [[1.0]]
 
 
 def test_softmax_log2_case():
-    out = T.softmax(Tensor([[0.0, math.log(2.0)]]), axis=1)
+    out = T.softmax(Tensor([[0.0, math.log(2.0)]]))
     np.testing.assert_allclose(out.data, [[1 / 3, 2 / 3]], atol=1e-7)
 
 
@@ -213,7 +213,7 @@ def test_grad_check_linear_is_exact():
 def test_grad_check_softmax_dot():
     rng = np.random.default_rng(3)
     x = randn(rng, 1, 6)
-    err = grad_check(lambda t: T.tsum(T.mul(T.softmax(t, axis=1), t)), x)
+    err = grad_check(lambda t: T.tsum(T.mul(T.softmax(t), t)), x)
     assert err < 1e-3
 
 
@@ -271,7 +271,7 @@ def _attention_composed(q, k, scale, mask=None):
     scores = T.scale(T.matmul(q, k), scale)
     if mask is not None:
         scores = T.add(scores, Tensor(mask))
-    return T.softmax(scores, axis=-1)
+    return T.softmax(scores)
 
 
 _CAUSAL = np.triu(np.full((4, 5), -1e9, np.float32), k=2)
@@ -357,17 +357,17 @@ def test_softmax_rows_sum_to_one_and_shift_invariant(values, const):
     # float64 input so the shift itself is exact; in float32 the *addition*
     # already rounds the logit gaps by more than 1e-6 at magnitude ~60
     x = Tensor(np.array([values], dtype=np.float64))
-    out = T.softmax(x, axis=1)
+    out = T.softmax(x)
     assert abs(out.data.sum() - 1.0) < 1e-6
     assert (out.data >= 0).all()
-    shifted = T.softmax(T.shift(x, const), axis=1)
+    shifted = T.softmax(T.shift(x, const))
     np.testing.assert_allclose(out.data, shifted.data, atol=1e-6)
 
 
 def test_softmax_shift_invariant_float32_exact_inputs():
     x = Tensor(np.array([[1.0, 3.0, -2.0, 7.0]], dtype=np.float32))
-    out = T.softmax(x, axis=1)
-    shifted = T.softmax(T.shift(x, 64.0), axis=1)  # integer shift stays exact
+    out = T.softmax(x)
+    shifted = T.softmax(T.shift(x, 64.0))  # integer shift stays exact
     np.testing.assert_allclose(out.data, shifted.data, atol=1e-6)
     assert abs(float(shifted.data.sum()) - 1.0) < 1e-6
 

@@ -25,7 +25,7 @@ from conftest import (
     sealed_checkpoint,
     with_repeated_last_tensor,
 )
-from hazardvlm.optim import AdamWState, FlatArrays, ScheduleConfig, lr_at
+from hazardvlm.optim import AdamWState, DivergenceError, FlatArrays, ScheduleConfig, lr_at
 from hazardvlm.training import (
     HAZARD_PROMPT,
     MAGIC,
@@ -38,7 +38,6 @@ from hazardvlm.training import (
     Predictor,
     StepLog,
     TrainConfig,
-    TrainingDiverged,
     Truncated,
     _batch_breakdown,
     _shared_prefix,
@@ -298,7 +297,7 @@ def test_non_finite_op_during_training_is_divergence():
     model = small_model(vocab)
     cfg = quick_cfg(base_lr=1e30, warmup_start_lr=1e29, grad_accum_steps=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrainingDiverged, match="non-finite values produced by op '"):
+        with pytest.raises(DivergenceError, match="non-finite values produced by op '"):
             train(model, samples, samples[:2], vocab, cfg)
     assert all(t.grad is None for t in model.params.tensors.values())
 
@@ -345,7 +344,7 @@ def test_poisoned_weight_divergence_names_the_op(mode, names, value, op):
     model = _poisoned(vocab, mode, names, value)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
-        with pytest.raises(TrainingDiverged) as caught:
+        with pytest.raises(DivergenceError) as caught:
             train(model, samples, samples[:1], vocab, quick_cfg(mode=mode, grad_accum_steps=1))
         # the per-op guard is on again
         with pytest.raises(tz.NonFiniteError):
@@ -364,7 +363,7 @@ def test_overflowing_projector_weight_is_divergence_in_training():
     model = _poisoned(vocab, "pretrain", ["proj.img.w"], 3e38)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(TrainingDiverged) as caught:
+        with pytest.raises(DivergenceError) as caught:
             train(model, samples, samples[:1], vocab, quick_cfg(grad_accum_steps=1))
     assert str(caught.value) == "non-finite values produced by op 'layer_norm' at optimizer step 0"
     assert all(t.grad is None for t in model.params.tensors.values())
@@ -383,7 +382,7 @@ def test_non_finite_loss_the_guarded_rerun_passes_names_the_step(monkeypatch):
         return out
 
     monkeypatch.setattr("hazardvlm.training._batch_breakdown", nan_once)
-    with pytest.raises(TrainingDiverged, match=r"^non-finite loss at epoch 0, step 0$"):
+    with pytest.raises(DivergenceError, match=r"^non-finite loss at epoch 0, step 0$"):
         train(model, samples, samples[:1], vocab, quick_cfg(grad_accum_steps=1))
     # the forward ran unguarded, the rerun guarded
     assert calls == [False, True]
@@ -463,11 +462,38 @@ def test_divergence_guard_trips(tmp_path, monkeypatch):
     # one micro-batch per step, so the first step is logged before the
     # second micro-batch trips the guard
     cfg = quick_cfg(grad_accum_steps=1, log_path=str(log))
-    with pytest.raises(TrainingDiverged):
+    with pytest.raises(DivergenceError):
         train(model, samples, samples[:2], vocab, cfg)
     lines = log.read_text().splitlines()
     assert lines[0] == LOG_HEADER
     assert len(lines) == 2 and lines[1].startswith("0,")
+
+
+def test_non_finite_gradient_is_the_same_divergence_error():
+    # 1e19 in a prompt layer norm's bias leaves the forward and the loss
+    # finite; the gradient overflows, and clipping's check ends the run
+    samples, vocab = make_dataset(2, image_size=32, patch_size=8)
+    model = HazardModel(ModelConfig(vocab_size=len(vocab)), seed=0)
+    model.params.tensors["txt.0.ln1.b"].data += 1e19
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DivergenceError, match=r"^non-finite gradient before clipping$"):
+            train(model, samples, samples[:1], vocab, TrainConfig())
+    assert all(t.grad is None for t in model.params.tensors.values())
+
+
+def test_a_tensor_that_requires_no_gradient_keeps_its_bits():
+    samples, vocab = make_dataset(4)
+    model = small_model(vocab)
+    frozen = model.params.tensors["vis.0.ffn.w1"]
+    frozen.requires_grad = False
+    before = frozen.data.tobytes()
+    assert "vis.0.ffn.w1" not in model.trainable_tensors()
+    assert "vis.0.ffn.w1" in model.frozen_tensors()
+    # the decoupled decay alone would shrink it at every step
+    res = train(model, samples, samples[:1], vocab, quick_cfg(weight_decay=0.5))
+    assert len(res.logs) == 2
+    assert frozen.data.tobytes() == before
 
 
 def test_empty_dataset_rejected():
@@ -754,7 +780,7 @@ def test_restore_model_builds_the_saved_model_without_a_random_init(tmp_path, mo
     for name, t in saved.params.tensors.items():
         assert restored.params.tensors[name].data.tobytes() == t.data.tobytes()
         assert restored.params.tensors[name].requires_grad == t.requires_grad
-    assert restored.params.trainable == saved.params.trainable
+    assert list(restored.trainable_tensors()) == list(saved.trainable_tensors())
     assert set(restored.params.adapters) == set(saved.params.adapters)
 
 
@@ -859,6 +885,32 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     apply_checkpoint(restored, ckpt)
     for name, tensor in model.params.tensors.items():
         assert np.array_equal(restored.params.tensors[name].data, tensor.data)
+
+
+def test_loaded_tensors_are_independent_writable_arrays(tmp_path):
+    samples, vocab = make_dataset(4)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_model(vocab), None, path, step=0, epoch=0, seed=0)
+    tensors = load_checkpoint(path).tensors
+    for arr in tensors.values():
+        assert arr.flags.writeable and arr.flags.owndata
+    first, second = list(tensors.values())[:2]
+    first[...] = 5.0
+    assert not (second == 5.0).any()
+
+
+def test_apply_checkpoint_checks_every_tensor_before_it_assigns_any(tmp_path):
+    samples, vocab = make_dataset(4)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_model(vocab, seed=1), None, path, step=0, epoch=0, seed=0)
+    ckpt = load_checkpoint(path)
+    last = list(ckpt.tensors)[-1]
+    ckpt.tensors[last] = ckpt.tensors[last][:1]
+    model = small_model(vocab, seed=2)
+    before = {name: t.data.tobytes() for name, t in model.params.tensors.items()}
+    with pytest.raises(CheckpointError, match=f"^shape mismatch for '{last}'"):
+        apply_checkpoint(model, ckpt)
+    assert {name: t.data.tobytes() for name, t in model.params.tensors.items()} == before
 
 
 def test_checkpoint_save_load_save_idempotent(tmp_path):
