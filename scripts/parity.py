@@ -21,7 +21,8 @@ sources of the checkout this script sits in:
   the default nucleus sampling and with ``--seed 7``;
 - the same ``predict`` runs, greedy and sampled, at ``temperature = 0.5``
   from a ``--config`` file, so that the softmax both decoders share is
-  pinned at a second temperature.
+  pinned at a second temperature;
+- a short ``probe`` of two horizons and two seeds.
 
 Every command runs inside OUTDIR with relative paths, and its exit code
 and standard output are saved under ``OUTDIR/stdout/``. The last step
@@ -110,6 +111,7 @@ def main() -> int:
                 name = f"06-predict-{ckpt}-{mode}-image{i}"
                 run(name, ["predict", "--checkpoint", f"{ckpt}.ckpt", "--image", f"image{i}.npy",
                            "--out", f"{name}.txt", *flags])
+    run("07-probe", ["probe", "--t-list", "10,100", "--seeds", "2", "--out", "probe.csv"])
 
     text = manifest(out)
     Path("manifest.txt").write_text(text, encoding="utf-8")

@@ -13,21 +13,22 @@ import sys
 from pathlib import Path
 
 from .data import (
+    MAX_SYNTH_FLOATS,
     DataError,
     SynthConfig,
     Vocabulary,
     build_vocab,
+    caption_targets,
     detokenize,
     load_dataset,
     load_image,
     save_dataset,
     split,
     synth_generate,
-    tokenize,
 )
 # unused here; the benchmark tracer patches these two names on this module
 from .localization import grid_to_pixel, hard_argmax  # noqa: F401
-from .model import HazardModel, ModelConfig, SamplingError, check_sampling
+from .model import HazardModel, ModelConfig, SamplingError, check_sampling, holds_adapters
 from .optim import DivergenceError, convergence_probe, fitted_loglog_slope, probe_table
 from .tensor import NonFiniteError, Tensor
 from .training import (
@@ -161,8 +162,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(cfg, key, flag)
-    if not 0 <= cfg.seed < 2**64:  # seeds numpy and a checkpoint's u64 field
-        raise UsageError(f"seed must be in [0, 2**64), got {cfg.seed}")
     # the CLI-only keys, written as `not <valid>` so that NaN fails
     if not 0 < cfg.val_fraction < 1:
         raise UsageError(f"val_fraction must be in (0, 1), got {cfg.val_fraction}")
@@ -213,7 +212,12 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     if out.exists() and not args.force:
         raise DataError(f"{out} exists; pass --force to overwrite")
-    samples = synth_generate(cfg.synth_n, config_for(SynthConfig, cfg), seed=cfg.seed)
+    synth_cfg = config_for(SynthConfig, cfg)
+    if cfg.synth_n * synth_cfg.image_floats > MAX_SYNTH_FLOATS:
+        raise UsageError(
+            f"{cfg.synth_n} images of {synth_cfg.image_floats} values exceed MAX_SYNTH_FLOATS = {MAX_SYNTH_FLOATS}"
+        )
+    samples = synth_generate(cfg.synth_n, synth_cfg, seed=cfg.seed)
     save_dataset(samples, out)
     print(f"wrote {len(samples)} samples to {out}")
     return EXIT_OK
@@ -247,7 +251,7 @@ def cmd_train(args) -> int:
     d_train, d_val = split(samples, cfg.val_fraction, seed=cfg.seed)
 
     max_len = model.config.max_caption_len
-    overlong = [i for i, s in enumerate(samples) if len(tokenize(s.caption, vocab)) - 1 > max_len]
+    overlong = [i for i, s in enumerate(samples) if len(caption_targets(s.caption, vocab)) > max_len]
     if overlong:
         raise DataError(
             f"{len(overlong)} caption(s) exceed max_caption_len={max_len} "
@@ -283,7 +287,7 @@ def _restore_model(checkpoint: str, vocab_file: str | None, lora_rank: int | Non
             f"vocabulary {vocab_path} has {len(vocab)} tokens, {checkpoint} was built for {config.vocab_size}"
         )
     if lora_rank is not None:
-        if any(name.startswith("lora.") for name in ckpt.tensors):
+        if holds_adapters(ckpt.tensors):
             raise DataError(f"{checkpoint} holds adapters; --init-from needs a base checkpoint")
         try:
             config = dataclasses.replace(config, lora_rank=lora_rank)
@@ -394,8 +398,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="also write the prediction to this file")
     p.set_defaults(fn=cmd_predict)
 
-    p = sub.add_parser("probe", help="empirical optimizer convergence trend")
-    _add_config_flags(p)
+    # no --config or --seed: the probe reads no run config, and its seeds
+    # are 0 .. --seeds - 1; no abbreviations, so --seed cannot pass for --seeds
+    p = sub.add_parser("probe", help="empirical optimizer convergence trend", allow_abbrev=False)
     p.add_argument("--objective", choices=["quadratic", "logistic"], default="quadratic")
     p.add_argument("--dims", type=int, default=10)
     p.add_argument("--t-list", default="100,316,1000,3162,10000")

@@ -251,6 +251,12 @@ def tokenize(caption: str, vocab: Vocabulary) -> list[int]:
     return [START_ID] + ids + [END_ID]
 
 
+def caption_targets(caption: str, vocab: Vocabulary) -> list[int]:
+    """The ids a decoder predicts for ``caption``: its content ids, then
+    the end token (``tokenize`` without the start token)."""
+    return tokenize(caption, vocab)[1:]
+
+
 def detokenize(ids: Sequence[int], vocab: Vocabulary) -> str:
     """Inverse of tokenize for in-vocab text; reserved ids are dropped."""
     words = [vocab.tokens[i] for i in ids if vocab.tokens[i] not in RESERVED]
@@ -290,6 +296,14 @@ def check_sizes(config) -> None:
             raise ValueError(f"{f.name} must be at least 1, got {getattr(config, f.name)}")
 
 
+# What synthetic generation may make, in float32 values, checked before
+# anything is allocated: one image (16 MiB; generating a scene briefly
+# holds a few arrays of that size) and a whole dataset (64 MiB, which the
+# JSONL text takes several times over)
+MAX_IMAGE_FLOATS = 2**22
+MAX_SYNTH_FLOATS = 2**24
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     image_size: int = 32
@@ -301,6 +315,8 @@ class SynthConfig:
 
     def __post_init__(self):
         check_sizes(self)
+        if self.image_floats > MAX_IMAGE_FLOATS:
+            raise DataError(f"a {self.image_floats}-value image exceeds MAX_IMAGE_FLOATS = {MAX_IMAGE_FLOATS}")
         if self.image_size % self.patch_size:
             raise DataError("image_size must be divisible by patch_size")
         # written as `not <valid>`, so NaN fails every check
@@ -318,6 +334,10 @@ class SynthConfig:
         # bounded by noise_high + peak * exp(-1/(2 sigma^2))
         if self.noise_high + self.blob_peak * math.exp(-1.0 / (2.0 * self.blob_sigma**2)) >= self.blob_peak:
             raise DataError("noise/sigma combination lets neighbors outshine the blob center")
+
+    @property
+    def image_floats(self) -> int:
+        return self.channels * self.image_size**2
 
 
 def patch_center(coord: int, patch_size: int) -> int:

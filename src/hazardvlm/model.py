@@ -54,11 +54,8 @@ class ModelConfig:
             raise ValueError("need 1 <= lora_rank <= min(embed_dim, latent_dim)")
         if self.projector not in ("linear", "mlp"):
             raise ValueError(f"unknown projector kind {self.projector!r}")
-        count = 0  # one declared shape at a time: nothing is allocated
-        for _, shape, _ in _specs(self):
-            count += math.prod(shape)
-            if count > MAX_PARAMETERS:
-                raise ValueError(f"the model would have more than MAX_PARAMETERS = {MAX_PARAMETERS} base parameters")
+        if parameter_count(self) > MAX_PARAMETERS:
+            raise ValueError(f"the model would have more than MAX_PARAMETERS = {MAX_PARAMETERS} base parameters")
 
     @property
     def grid_side(self) -> int:
@@ -104,7 +101,6 @@ def patchify(image: Tensor, patch_size: int) -> Tensor:
     Patches are ordered row-major over the grid (top-left first, rows
     before columns); each output row is one flattened patch.
     """
-    image = image if isinstance(image, Tensor) else Tensor(image)
     if image.data.ndim not in (3, 4):
         raise tz.ShapeError(f"expected C x S x S image or a stack of them, got shape {image.shape}")
     *lead, c, s, s2 = image.shape
@@ -177,9 +173,10 @@ class DecodeCache:
         self.own = [None if pair is None else pick(pair) for pair in self.own]
 
 
-def _specs(config: ModelConfig):
-    """(name, shape, initializer) of every base parameter, one at a time,
-    in the order the random init draws them."""
+def _specs(config: ModelConfig, encoder_layers: int, decoder_layers: int):
+    """(name, shape, initializer) of every base parameter of ``config``
+    with these layer counts, one at a time, in the order the random init
+    draws them."""
     d, k = config.embed_dim, config.latent_dim
     hidden = d * config.ffn_mult
 
@@ -207,12 +204,12 @@ def _specs(config: ModelConfig):
 
     yield from linear("vis.patch_embed", config.patch_dim, d)
     yield "vis.pos", (config.n_patches, d), "normal"
-    for i in range(config.encoder_layers):
+    for i in range(encoder_layers):
         yield from encoder_block(f"vis.{i}")
 
     yield "txt.embed", (config.vocab_size, d), "normal"
     yield "txt.pos", (config.max_caption_len, d), "normal"
-    for i in range(config.encoder_layers):
+    for i in range(encoder_layers):
         yield from encoder_block(f"txt.{i}")
 
     if config.projector == "linear":
@@ -225,7 +222,7 @@ def _specs(config: ModelConfig):
 
     yield "dec.embed", (config.vocab_size, d), "normal"
     yield "dec.pos", (config.max_caption_len, d), "normal"
-    for i in range(config.decoder_layers):
+    for i in range(decoder_layers):
         yield from ln(f"dec.{i}.ln1")
         yield from attn(f"dec.{i}.self", d)
         yield from ln(f"dec.{i}.ln2")
@@ -236,11 +233,30 @@ def _specs(config: ModelConfig):
     yield from linear("dec.out", d, config.vocab_size)
 
 
+def parameter_count(config: ModelConfig) -> int:
+    """The number of base parameters, with nothing allocated. Each kind of
+    layer is counted once, as what one more of it adds, and multiplied by
+    its count, so an absurd layer count costs no more than a small one."""
+    def size(encoder_layers, decoder_layers):
+        return sum(math.prod(shape) for _, shape, _ in _specs(config, encoder_layers, decoder_layers))
+
+    rest = size(0, 0)
+    return (rest + config.encoder_layers * (size(1, 0) - rest)
+            + config.decoder_layers * (size(0, 1) - rest))
+
+
 def parameter_specs(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
     """Every base parameter's shape and initializer ("normal", "zeros" or
     "ones"), by name, in the order the random init draws them. Nothing is
     allocated, so the shapes of any valid config can be checked first."""
-    return {name: (shape, init) for name, shape, init in _specs(config)}
+    specs = _specs(config, config.encoder_layers, config.decoder_layers)
+    return {name: (shape, init) for name, shape, init in specs}
+
+
+def holds_adapters(names) -> bool:
+    """Whether the tensor names ``names`` include adapter factors
+    (``lora.<target>.a`` or ``.b``)."""
+    return any(name.startswith("lora.") for name in names)
 
 
 def adapter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -277,7 +293,7 @@ class HazardModel:
         (the caller checks them). The model takes the arrays, not copies."""
         model = cls.__new__(cls)
         model._hold(config, {name: arrays[name] for name in parameter_specs(config)})
-        if any(name.startswith("lora.") for name in arrays):
+        if holds_adapters(arrays):
             model._attach_adapters({name: arrays[name] for name in adapter_shapes(config)})
         return model
 
@@ -323,16 +339,14 @@ class HazardModel:
         once (W + A.B, the same bits as on every use). It shares every other
         tensor and has no adapters; rebuild it after the adapters change.
         Built inside a Tape, each merged weight keeps its graph back to its
-        adapter, so a backward through the view reaches the adapters. Built
-        outside one, the merged weights are plain arrays: an inference view.
+        adapter, so a backward through the view reaches the adapters.
         Without adapters, the model itself."""
         if not self.lora_enabled:
             return self
         view = copy.copy(self)
         tensors = dict(self.params.tensors)
         for name, adapter in self.params.adapters.items():
-            weight = effective_weight(tensors[name], adapter)
-            tensors[name] = weight if tz.recording() else Tensor(weight.data)
+            tensors[name] = effective_weight(tensors[name], adapter)
         view.params = ModelParams(tensors=tensors)
         return view
 
@@ -397,12 +411,11 @@ class HazardModel:
 
     # -- public forward ------------------------------------------------------
 
-    def encode_image(self, image) -> tuple[Tensor, AttentionMap]:
+    def encode_image(self, image: Tensor) -> tuple[Tensor, AttentionMap]:
         """Per-patch features and the aggregated last-layer attention map of
         a C x S x S image, or of each image of a B x C x S x S stack (then
         B x n x d features and a stack of B maps)."""
         cfg = self.config
-        image = image if isinstance(image, Tensor) else Tensor(image)
         if image.data.ndim not in (3, 4) or image.shape[-3:] != (cfg.channels, cfg.image_size, cfg.image_size):
             raise tz.ShapeError(
                 f"image shape {image.shape} != configured "

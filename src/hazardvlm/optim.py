@@ -71,9 +71,6 @@ class FlatArrays(Mapping[str, np.ndarray]):
     def __getitem__(self, name: str) -> np.ndarray:
         return self.flat[self.layout.slices[name]].reshape(self.layout.shapes[name])
 
-    def __contains__(self, name) -> bool:
-        return name in self.layout.slices
-
     def __iter__(self):
         return iter(self.layout.shapes)
 

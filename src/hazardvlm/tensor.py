@@ -1,12 +1,12 @@
 """Minimal dense-tensor library with tape-based reverse-mode differentiation.
 
 Tensors wrap row-major numpy float arrays (float32 by default). Operations
-record themselves on the active ``Tape`` when any input requires gradients;
-``Tape.backward`` replays the tape in reverse and accumulates gradients into
-the ``grad`` buffers of the leaves that require them: the tensors no op on
-that tape produced, such as parameters and inputs. GELU is the only
-activation provided (smooth everywhere, which keeps finite-difference
-checks clean).
+take Tensor operands, not bare arrays, and record themselves on the active
+``Tape`` when any input requires gradients; ``Tape.backward`` replays the
+tape in reverse and accumulates gradients into the ``grad`` buffers of the
+leaves that require them: the tensors no op on that tape produced, such as
+parameters and inputs. GELU is the only activation provided (smooth
+everywhere, which keeps finite-difference checks clean).
 
 A tape and the tensors recorded on it belong to one logical thread;
 tensors are not mutated after creation except their grad buffers. Pure
@@ -62,8 +62,6 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if isinstance(data, Tensor):
-            data = data.data
         if dtype is not None:
             data = np.asarray(data, dtype=dtype)
         elif isinstance(data, (np.ndarray, np.floating)):
@@ -107,10 +105,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 class TapeNode:
     """One recorded op: parents, output, and the backward rule."""
 
@@ -150,12 +144,6 @@ class Tape:
 
     def backward(self, root: Tensor) -> None:
         backward(self, root)
-
-
-def recording() -> bool:
-    """Whether a Tape is active, so ops on tensors that require gradients
-    are being recorded."""
-    return bool(_TAPE_STACK)
 
 
 def _record(op: str, parents: tuple[Tensor, ...], out_data: np.ndarray, backward_fn) -> Tensor:
@@ -228,7 +216,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     (rank 3 or 4) with equal leading dims, or of a rank-3 stack and one
     rank-2 matrix shared by every entry. Each leading index is its own
     product, so a stack gives the bits of one product per entry."""
-    a, b = _as_tensor(a), _as_tensor(b)
     x, y = a.data, b.data
     shared = x.ndim == 3 and y.ndim == 2
     if not shared and (x.ndim != y.ndim or not 2 <= x.ndim <= 4):
@@ -252,7 +239,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     forward and backward: x is n x d_in rows or a stack of them, w one
     d_in x d_out matrix and b d_out biases. A parent that requires no
     gradient gets none computed."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     xd, wd = x.data, w.data
     if xd.ndim not in (2, 3) or wd.ndim != 2 or xd.shape[-1] != wd.shape[0] or b.shape != wd.shape[1:]:
         raise ShapeError(f"linear expects rows (or a stack) x d_in, d_in x d_out and d_out, got "
@@ -270,18 +256,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record("linear", (x, w, b), xd @ wd + b.data, bwd)
 
 
-def add(a: Tensor, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
+def add(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
     return _record("add", (a, b), a.data + b.data, bwd)
 
 
-def sub(a: Tensor, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
+def sub(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
@@ -289,8 +271,6 @@ def sub(a: Tensor, b) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
     def bwd(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
@@ -298,8 +278,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
     def bwd(g):
         return (
             _unbroadcast(g / b.data, a.shape),
@@ -310,7 +288,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(x: Tensor, s: float) -> Tensor:
-    x = _as_tensor(x)
     s = float(s)
 
     def bwd(g):
@@ -320,8 +297,6 @@ def scale(x: Tensor, s: float) -> Tensor:
 
 
 def shift(x: Tensor, c: float) -> Tensor:
-    x = _as_tensor(x)
-
     def bwd(g):
         return (g,)
 
@@ -329,8 +304,6 @@ def shift(x: Tensor, c: float) -> Tensor:
 
 
 def log(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-
     def bwd(g):
         return (g / x.data,)
 
@@ -351,7 +324,6 @@ def gelu(x: Tensor) -> Tensor:
     with any of the three the error stays within two float32 ulps of
     ``|v|``. A cube that overflows still gives ``v`` for a positive input
     and 0 for a negative one."""
-    x = _as_tensor(x)
     v = x.data
     inner = _GELU_C * (v + 0.044715 * (v * v * v))
     t = np.tanh(inner)
@@ -367,7 +339,6 @@ def gelu(x: Tensor) -> Tensor:
 
 def softmax(x: Tensor) -> Tensor:
     """Max-stabilized softmax along the last axis; rows sum to 1 within 1e-6."""
-    x = _as_tensor(x)
     z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     out = e / e.sum(axis=-1, keepdims=True)
@@ -384,7 +355,6 @@ def cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
 
     logits: T x V; targets: T integer token indices. Returns a scalar.
     """
-    logits = _as_tensor(logits)
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy expects T x V logits, got {logits.shape}")
     idx = np.asarray(targets, dtype=np.int64)
@@ -413,7 +383,6 @@ def cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
 
 
 def tsum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
     out = x.data.sum(axis=axis, keepdims=keepdims)
 
     def bwd(g):
@@ -426,13 +395,11 @@ def tsum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
 
 def mean(x: Tensor, axis: int | None = None) -> Tensor:
-    x = _as_tensor(x)
     count = x.size if axis is None else x.shape[axis]
     return scale(tsum(x, axis=axis), 1.0 / count)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    x = _as_tensor(x)
     old = x.shape
 
     def bwd(g):
@@ -442,7 +409,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    x = _as_tensor(x)
     # argsort in Python: np.argsort on a tuple costs several times more
     inverse = sorted(range(len(axes)), key=axes.__getitem__)
 
@@ -458,7 +424,6 @@ def split_heads(x: Tensor, heads: int, keys: bool = False) -> Tensor:
     """... x n x (h*dh) rows to ... x h x n x dh, or ... x h x dh x n for
     keys, as one node with the bits of ``permute(reshape(x, ...), ...)``.
     A single row is already in that layout: a reshape and no permute."""
-    x = _as_tensor(x)
     shape = x.data.shape
     if x.data.ndim < 2 or shape[-1] % heads:
         raise ShapeError(f"split_heads: {heads} heads do not divide rows of shape {shape}")
@@ -484,7 +449,6 @@ def merge_heads(x: Tensor) -> Tensor:
     """... x h x n x dh heads back to ... x n x (h*dh) rows, as one node
     with the bits of ``reshape(permute(x, ...), ...)``; a single row needs
     the reshape only."""
-    x = _as_tensor(x)
     shape = x.data.shape
     if x.data.ndim < 3:
         raise ShapeError(f"merge_heads expects ... x h x n x dh, got {shape}")
@@ -514,7 +478,6 @@ def attention_weights(q: Tensor, k: Tensor, scale: float, mask: np.ndarray | Non
 
     With the per-op guard on, the scores are checked before the softmax
     too: a score of -inf would leave its row finite."""
-    q, k = _as_tensor(q), _as_tensor(k)
     qd, kd = q.data, k.data
     if qd.ndim != kd.ndim or not 2 <= qd.ndim <= 4 or qd.shape[:-2] != kd.shape[:-2] or qd.shape[-1] != kd.shape[-2]:
         raise ShapeError(
@@ -543,7 +506,6 @@ def attention_weights(q: Tensor, k: Tensor, scale: float, mask: np.ndarray | Non
 def take_rows(x: Tensor, indices) -> Tensor:
     """Row gather (embedding lookup): the output has the index array's shape
     followed by a row's. Backward scatter-adds into the table."""
-    x = _as_tensor(x)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim < 1:
         raise ShapeError("take_rows expects a sequence of indices")
@@ -559,7 +521,6 @@ def take_rows(x: Tensor, indices) -> Tensor:
 
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    x = _as_tensor(x)
     sl = [slice(None)] * x.data.ndim
     sl[axis] = slice(start, stop)
     sl = tuple(sl)
@@ -573,7 +534,7 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = tuple(_as_tensor(p) for p in parts)
+    parts = tuple(parts)
 
     def bwd(g):
         # each part's slice of g, its bounds worked out only when a backward
@@ -598,7 +559,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     or off: its ``1/sqrt(var)`` would be 0 and the row would silently
     become the bias. A row that is already non-finite is left to the guard
     or the caller's check, which name the op that produced it."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     d = x.shape[-1]
     # the sums and divisions np.mean and np.var run, without their dispatch
     mu = x.data.sum(axis=-1, keepdims=True) / d

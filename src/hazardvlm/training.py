@@ -19,10 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as tz
-from .data import AnnotatedSample, Vocabulary, detokenize, normalize, tokenize
+from .data import AnnotatedSample, Vocabulary, caption_targets, detokenize, normalize, tokenize
 from .localization import PixelPoint, grid_to_pixel, hard_argmax, pixel_to_grid, soft_argmax
 from .metrics import MetricsReport, corpus_report
-from .model import HazardModel, ModelConfig, adapter_shapes, check_finite, parameter_specs
+from .model import HazardModel, ModelConfig, adapter_shapes, check_finite, holds_adapters, parameter_specs
 from .objective import LossWeights, coord_loss, total_loss
 from .optim import AdamWState, DivergenceError, FlatArrays, ScheduleConfig, adamw_step, clip_grad_norm, lr_at
 from .tensor import Tape, Tensor
@@ -70,10 +70,7 @@ class TrainConfig:
             raise ValueError(f"soft_argmax_tau must be positive and finite, got {self.soft_argmax_tau}")
         if not 0 <= self.warmup_frac <= 1:
             raise ValueError(f"warmup_frac must be in [0, 1], got {self.warmup_frac}")
-        if not 0 <= self.warmup_start_lr <= self.base_lr < math.inf:
-            raise ValueError(
-                f"need 0 <= warmup_start_lr <= base_lr < inf, got {self.warmup_start_lr} and {self.base_lr}"
-            )
+        self.schedule(1)  # ScheduleConfig checks warmup_start_lr and base_lr
         if not self.clip_max_norm > 0:
             raise ValueError(f"clip_max_norm must be positive, got {self.clip_max_norm}")
         for name in ("beta1", "beta2"):
@@ -87,6 +84,15 @@ class TrainConfig:
 
     def loss_weights(self) -> LossWeights:
         return LossWeights(self.lambda_coord, self.lambda_text)
+
+    def schedule(self, total_steps: int) -> ScheduleConfig:
+        """The learning-rate schedule of a run of ``total_steps`` optimizer
+        steps, the first ``warmup_frac`` of them (at most all but one)
+        warming up."""
+        warmup = min(int(round(self.warmup_frac * total_steps)), total_steps - 1)
+        return ScheduleConfig(
+            base_lr=self.base_lr, warmup_start_lr=self.warmup_start_lr, warmup_steps=warmup, total_steps=total_steps
+        )
 
 
 @dataclass
@@ -143,7 +149,7 @@ def sample_losses(
     if prompt is None:
         prompt = model.project(model.encode_text(prompt_ids), "text")
     fused = model.fuse(model.project(feats, "image"), prompt)
-    targets = tokenize(sample.caption, vocab)[1:]  # predict content + end token
+    targets = caption_targets(sample.caption, vocab)
     logits = model.decode_caption_teacher_forced(fused, targets)
     tloss = tz.cross_entropy(logits, targets)
     return closs, tloss
@@ -166,16 +172,21 @@ def _batch_breakdown(model, batch, prompt_ids, vocab, cfg: TrainConfig, prompt=N
     return total_loss(coord, text, cfg.loss_weights())
 
 
+def _weight_only_work(model: HazardModel, prompt_ids: Sequence[int]) -> tuple[HazardModel, Tensor]:
+    """What depends on the weights only, not on a scene: the view with each
+    adapter merged (``HazardModel.merged``) and the prompt's projected
+    latent."""
+    view = model.merged()
+    return view, view.project(view.encode_text(prompt_ids), "text")
+
+
 def _shared_prefix(model: HazardModel, prompt_ids: Sequence[int]):
-    """What every micro-batch of an accumulation group shares, since it
-    depends on the weights only: the view with each adapter merged
-    (``HazardModel.merged``) and the prompt's projected latent. Returns
-    the tape nodes that compute them, the view and the latent. A
-    micro-batch's tape starts with these nodes, so its backward carries
-    that micro-batch's gradient through them to the weights."""
+    """What every micro-batch of an accumulation group shares: the tape
+    nodes of ``_weight_only_work``, its view and its latent. A micro-batch's
+    tape starts with these nodes, so its backward carries that
+    micro-batch's gradient through them to the weights."""
     with Tape() as tape:
-        view = model.merged()
-        prompt = view.project(view.encode_text(prompt_ids), "text")
+        view, prompt = _weight_only_work(model, prompt_ids)
     return tape.nodes, view, prompt
 
 
@@ -217,14 +228,7 @@ def train(
     n = len(d_train)
     micro_per_epoch = math.ceil(n / cfg.batch_size)
     steps_per_epoch = math.ceil(micro_per_epoch / cfg.grad_accum_steps)
-    total_steps = cfg.epochs * steps_per_epoch
-    warmup = min(int(round(cfg.warmup_frac * total_steps)), total_steps - 1)
-    sched = ScheduleConfig(
-        base_lr=cfg.base_lr,
-        warmup_start_lr=cfg.warmup_start_lr,
-        warmup_steps=warmup,
-        total_steps=total_steps,
-    )
+    sched = cfg.schedule(cfg.epochs * steps_per_epoch)
     state = AdamWState(
         beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps, weight_decay=cfg.weight_decay
     )
@@ -324,19 +328,17 @@ class Predictor:
     """
 
     def __init__(self, model: HazardModel, vocab: Vocabulary):
-        self.model = model.merged()
-        prompt_ids = tokenize(HAZARD_PROMPT, vocab)
-        self.prompt_latent = self.model.project(self.model.encode_text(prompt_ids), "text")
+        self.model, self.prompt_latent = _weight_only_work(model, tokenize(HAZARD_PROMPT, vocab))
 
     def __call__(
-        self, image, top_p: float = 0.0, temperature: float = 1.0, seed: int = 0
+        self, image: Tensor, top_p: float = 0.0, temperature: float = 1.0, seed: int = 0
     ) -> tuple[PixelPoint, list[int]]:
         """Point and caption ids for one C x S x S image; top_p 0 decodes
         greedily."""
         return self._infer(image, top_p, temperature, seed)
 
     def batch(
-        self, images, top_p: float = 0.0, temperature: float = 1.0, seed: int = 0
+        self, images: Tensor, top_p: float = 0.0, temperature: float = 1.0, seed: int = 0
     ) -> list[tuple[PixelPoint, list[int]]]:
         """Point and caption ids for each image of a B x C x S x S stack, run
         as one batch; entry i is what the single-image call gives images[i]."""
@@ -344,7 +346,7 @@ class Predictor:
             raise tz.ShapeError(f"expected a B x C x S x S stack of images, got shape {images.shape}")
         return list(zip(*self._infer(images, top_p, temperature, seed)))
 
-    def _infer(self, images, top_p, temperature, seed):
+    def _infer(self, images: Tensor, top_p, temperature, seed):
         """(point, ids) of one image, or (points, ids lists) of a stack.
 
         Runs without the per-op NaN/Inf guard and checks each stage's
@@ -352,7 +354,6 @@ class Predictor:
         each decode step's logits. When one is not finite, the same
         inference runs again with the guard on, so the error names the op.
         """
-        images = images if isinstance(images, Tensor) else Tensor(images)
         try:
             with tz.finite_checks(False):
                 return self._stages(images, top_p, temperature, seed)
@@ -589,7 +590,7 @@ def restore_model(ckpt: Checkpoint) -> HazardModel:
     parameter is built, so a stored config too large to allocate fails
     here."""
     expected = {name: shape for name, (shape, _) in parameter_specs(ckpt.config).items()}
-    if any(name.startswith("lora.") for name in ckpt.tensors):
+    if holds_adapters(ckpt.tensors):
         expected |= adapter_shapes(ckpt.config)
     _check_names_and_shapes(ckpt.tensors, expected)
     missing = [name for name in expected if name not in ckpt.tensors]

@@ -327,6 +327,31 @@ def test_model_over_the_parameter_cap_is_usage_error_before_any_allocation(tmp_p
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.conf", "data.jsonl"]
 
 
+@pytest.mark.parametrize(
+    "conf_text, n, cap",
+    [
+        # np.mgrid alone asked for 64 GiB: a MemoryError traceback
+        ("image_size = 65536\npatch_size = 65536\n", "1", "MAX_IMAGE_FLOATS"),
+        # images at the per-image cap, but too many of them together
+        ("image_size = 2048\npatch_size = 8\n", "5", "MAX_SYNTH_FLOATS"),
+    ],
+    ids=["image", "dataset"],
+)
+def test_synth_over_a_size_cap_is_usage_error_before_any_allocation(tmp_path, conf_text, n, cap):
+    (tmp_path / "big.conf").write_text(conf_text)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hazardvlm", "synth", "--config", "big.conf", "--n", n, "--out", "big.jsonl"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stderr.startswith("usage error: ") and cap in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.conf"]
+
+
 @pytest.mark.parametrize("value", [float("nan"), 3e38], ids=["nan", "overflow"])
 def test_non_finite_base_weight_in_lora_training_exits_diverged(tmp_path, conf, trained, capsys, value):
     data, ckpt = trained
@@ -768,7 +793,7 @@ def test_out_of_range_seed_is_usage_error_before_any_work(tmp_path, trained, cap
     capsys.readouterr()
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
-    assert captured.err == f"usage error: seed must be in [0, 2**64), got {seed}\n"
+    assert captured.err == f"usage error: bad config: seed must be in [0, 2**64), got {seed}\n"
     assert captured.out == ""
     # no dataset, log, checkpoint, vocabulary or prediction
     assert sorted(tmp_path.rglob("*")) == before
@@ -995,6 +1020,18 @@ def test_probe_malformed_arguments_are_usage_errors(flags, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("usage error: ")
     assert "slope" not in captured.out
+
+
+@pytest.mark.parametrize("flags", [["--seed", "1"], ["--config", "missing.conf"]], ids=["seed", "config"])
+def test_probe_rejects_the_run_flags_it_never_read(tmp_path, monkeypatch, flags, capsys):
+    # both were accepted and ignored: any seed printed the same table, and
+    # a missing or malformed config file exited 0
+    monkeypatch.chdir(tmp_path)
+    rc = main(["probe", "--seeds", "1", "--t-list", "10", "--out", "probe.csv", *flags])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: unrecognized arguments: {' '.join(flags)}\n"
+    assert captured.out == "" and not (tmp_path / "probe.csv").exists()
 
 
 def test_probe_single_horizon_prints_no_slope(capsys):

@@ -233,5 +233,5 @@ def test_predict_hazard_infer_deterministic():
     from hazardvlm.model import HazardModel, ModelConfig
 
     model = HazardModel(ModelConfig(), seed=0)
-    img = np.random.default_rng(0).uniform(0, 1, (1, 32, 32)).astype(np.float32)
+    img = Tensor(np.random.default_rng(0).uniform(0, 1, (1, 32, 32)).astype(np.float32))
     assert predict_hazard(model, img) == predict_hazard(model, img)

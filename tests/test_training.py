@@ -275,12 +275,12 @@ def test_train_merges_and_encodes_the_prompt_once_per_accumulation_group(monkeyp
     effective_weight, encode_text = model_module.effective_weight, HazardModel.encode_text
 
     def counting_effective_weight(w, adapter):
-        if tz.recording():  # not the validation's inference view
+        if tz._TAPE_STACK:  # recorded: not the validation's inference view
             merges[adapter.target] += 1
         return effective_weight(w, adapter)
 
     def counting_encode_text(self, tokens):
-        if tz.recording():
+        if tz._TAPE_STACK:
             prompt_encodes.append(list(tokens))
         return encode_text(self, tokens)
 
