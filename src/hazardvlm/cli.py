@@ -203,6 +203,31 @@ def _vocab_path(checkpoint: str | Path) -> Path:
     return Path(str(checkpoint) + ".vocab")
 
 
+def _check_outputs(*outputs: tuple[str, str | Path]) -> None:
+    """UsageError unless each ``(what, path)`` output names a file in an
+    existing directory, and no two name the same file. Every command checks
+    its outputs with this before any work, which may write them only at
+    its end."""
+    seen: dict[Path, str] = {}
+    for what, path in outputs:
+        path = Path(path)
+        if path.is_dir():
+            raise UsageError(f"{what} path {path} is a directory")
+        if not path.parent.is_dir():
+            raise UsageError(f"{what} path {path} is not in an existing directory")
+        key = path.resolve()
+        if key in seen:
+            raise UsageError(f"{what} path {path} is also the {seen[key]} path")
+        seen[key] = what
+
+
+def _with_suffix(out: str, suffix: str) -> Path:
+    """The file beside ``out`` that ``suffix`` names."""
+    if not Path(out).name:  # "." or "/"
+        raise UsageError(f"--out path {out} is a directory")
+    return Path(out).with_suffix(suffix)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -210,6 +235,7 @@ def _vocab_path(checkpoint: str | Path) -> Path:
 def cmd_synth(args) -> int:
     cfg = build_run_config(args)
     out = Path(args.out)
+    _check_outputs(("--out", out))
     if out.exists() and not args.force:
         raise DataError(f"{out} exists; pass --force to overwrite")
     synth_cfg = config_for(SynthConfig, cfg)
@@ -225,14 +251,8 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = build_run_config(args)
-    log_path = args.log or str(Path(args.out).with_suffix(".csv"))
-    # checked before any work: the log opens at step 0, the checkpoint and
-    # vocabulary are written only after the whole run
-    for what, path in (("--out", args.out), ("log", log_path), ("vocabulary", _vocab_path(args.out))):
-        if Path(path).is_dir():
-            raise UsageError(f"{what} path {path} is a directory")
-        if not Path(path).parent.is_dir():
-            raise UsageError(f"{what} path {path} is not in an existing directory")
+    log_path = args.log or str(_with_suffix(args.out, ".csv"))
+    _check_outputs(("--out", args.out), ("log", log_path), ("vocabulary", _vocab_path(args.out)))
     if cfg.mode == "lora":
         if not args.init_from:
             raise UsageError("--init-from <base checkpoint> is required for lora mode")
@@ -298,19 +318,24 @@ def _restore_model(checkpoint: str, vocab_file: str | None, lora_rank: int | Non
 
 def cmd_eval(args) -> int:
     cfg = build_run_config(args)
+    if args.out:
+        text_path, json_path = _with_suffix(args.out, ".txt"), _with_suffix(args.out, ".json")
+        _check_outputs(("--out", text_path), ("--out", json_path))
     model, vocab = _restore_model(args.checkpoint, args.vocab)
     samples = _load_samples(args.dataset, model.config)
-    report = evaluate(model, samples, vocab, max_samples=cfg.max_samples)
+    report = evaluate(model, samples[: cfg.max_samples or None], vocab)
     print(report.as_text(), end="")
     if args.out:
-        Path(args.out).with_suffix(".txt").write_text(report.as_text(), encoding="utf-8")
-        Path(args.out).with_suffix(".json").write_text(report.as_json(), encoding="utf-8")
-        print(f"report: {Path(args.out).with_suffix('.txt')} / .json")
+        text_path.write_text(report.as_text(), encoding="utf-8")
+        json_path.write_text(report.as_json(), encoding="utf-8")
+        print(f"report: {text_path} / .json")
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
     cfg = build_run_config(args)
+    if args.out:
+        _check_outputs(("--out", args.out))
     top_p = 0.0 if args.greedy else cfg.top_p
     model, vocab = _restore_model(args.checkpoint, args.vocab)
     try:
@@ -328,6 +353,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    if args.out:
+        _check_outputs(("--out", args.out))
     # a ValueError here is a malformed argument; divergence is a DivergenceError
     try:
         t_list = [int(v) for v in args.t_list.split(",")]
@@ -336,11 +363,11 @@ def cmd_probe(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(f"probe: {exc}") from exc
-    print(probe_table(rows))
+    slope = fitted_loglog_slope(rows)
+    print(probe_table(rows, slope))
     if args.out:
         lines = [f"{t},{v!r}" for t, v in rows]
         Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    slope = fitted_loglog_slope(rows)
     if slope is not None and not -3.0 < slope < 0.0:
         print(f"warning: unexpected trend slope {slope:.3f}", file=sys.stderr)
     return EXIT_OK

@@ -76,7 +76,6 @@ class LoRAAdapter:
 
     a: Tensor  # d_in x r
     b: Tensor  # r x d_out
-    target: str
 
     def delta_params(self) -> int:
         return self.a.size + self.b.size
@@ -325,7 +324,7 @@ class HazardModel:
         for target in lora_target_names(self.config):
             a = Tensor(arrays[f"lora.{target}.a"], requires_grad=True)
             b = Tensor(arrays[f"lora.{target}.b"], requires_grad=True)
-            self.params.adapters[target] = LoRAAdapter(a=a, b=b, target=target)
+            self.params.adapters[target] = LoRAAdapter(a=a, b=b)
             self.params.tensors[f"lora.{target}.a"] = a
             self.params.tensors[f"lora.{target}.b"] = b
         # the base freezes: only the adapter factors and projector biases train
@@ -511,8 +510,8 @@ class HazardModel:
         self,
         fused: Tensor,
         max_len: int,
-        top_p: float = 0.9,
-        temperature: float = 0.95,
+        top_p: float,
+        temperature: float,
         seed: int = 0,
     ):
         """Nucleus sampling; stops at the end token or max_len tokens. Each

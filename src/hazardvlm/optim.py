@@ -215,10 +215,10 @@ def adamw_step(
 class ScheduleConfig:
     """Linear warmup into half-cosine decay over a fixed horizon."""
 
-    base_lr: float = 1e-4
-    warmup_start_lr: float = 3e-5
-    warmup_steps: int = 0
-    total_steps: int = 300
+    base_lr: float
+    warmup_start_lr: float
+    warmup_steps: int
+    total_steps: int
 
     def __post_init__(self):
         if not 0 <= self.warmup_steps < self.total_steps:
@@ -285,6 +285,10 @@ def clip_grad_norm(
 # trajectory converges much faster.
 
 GRAD_NOISE = 0.5
+# Bounds on a probe's size, checked before any allocation: the dimension of
+# an objective, and the steps of all trajectories (seeds x largest horizon).
+MAX_PROBE_DIMS = 2**16
+MAX_PROBE_STEPS = 2**20
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
@@ -347,8 +351,12 @@ def convergence_probe(
     checkpoints = sorted(set(int(t) for t in t_list))
     if not checkpoints or checkpoints[0] < 1:
         raise ValueError("t_list must contain horizons >= 1")
-    if dims < 1:
-        raise ValueError(f"dims must be >= 1, got {dims}")
+    if not 1 <= dims <= MAX_PROBE_DIMS:
+        raise ValueError(f"dims must be in [1, MAX_PROBE_DIMS = {MAX_PROBE_DIMS}], got {dims}")
+    if len(seeds) * checkpoints[-1] > MAX_PROBE_STEPS:
+        raise ValueError(
+            f"{len(seeds)} seed(s) x {checkpoints[-1]} steps exceed MAX_PROBE_STEPS = {MAX_PROBE_STEPS}"
+        )
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds must not be empty")
@@ -387,12 +395,12 @@ def fitted_loglog_slope(rows: Sequence[tuple[int, float]]) -> float | None:
     return float(np.polyfit(t, v, 1)[0])
 
 
-def probe_table(rows: Sequence[tuple[int, float]]) -> str:
-    """Plain-text table plus one machine-readable `T value` record per line."""
+def probe_table(rows: Sequence[tuple[int, float]], slope: float | None) -> str:
+    """Plain-text table plus one machine-readable `T value` record per line,
+    then ``slope``, the rows' ``fitted_loglog_slope``."""
     lines = [f"{'T':>10}  {'min |grad|^2':>14}"]
     for t, v in rows:
         lines.append(f"{t:>10d}  {v:>14.6e}")
     lines.append("")
-    slope = fitted_loglog_slope(rows)
     lines.append(f"fitted log-log slope: {'n/a' if slope is None else f'{slope:.4f}'}")
     return "\n".join(lines)

@@ -382,22 +382,13 @@ class Predictor:
         return grid_to_pixel(cells, cfg.patch_size, cfg.image_size), ids
 
 
-def evaluate(
-    model: HazardModel,
-    samples: Sequence[AnnotatedSample],
-    vocab: Vocabulary,
-    max_samples: int = 0,
-) -> MetricsReport:
+def evaluate(model: HazardModel, samples: Sequence[AnnotatedSample], vocab: Vocabulary) -> MetricsReport:
     """Greedy decoding plus hard-argmax localization over a sample set,
-    or over its first ``max_samples`` samples (0: all of them).
-    The evaluated samples run as one batch (``Predictor.batch``)."""
+    run as one batch (``Predictor.batch``)."""
     if not samples:
         raise ValueError("empty evaluation set")
-    if max_samples < 0:
-        raise ValueError(f"max_samples must be >= 0 (0: no cap), got {max_samples}")
     predict = Predictor(model, vocab)
-    limit = len(samples) if not max_samples else min(len(samples), max_samples)
-    batch = list(samples[:limit])
+    batch = list(samples)
     results = predict.batch(Tensor(np.stack([s.image for s in batch])))
     refs = [normalize(s.caption) for s in batch]
     cands = [detokenize(ids, vocab).split() for _, ids in results]
@@ -424,18 +415,6 @@ VERSION = 3
 
 
 class CheckpointError(RuntimeError):
-    pass
-
-
-class BadMagic(CheckpointError):
-    pass
-
-
-class BadVersion(CheckpointError):
-    pass
-
-
-class Truncated(CheckpointError):
     pass
 
 
@@ -497,7 +476,7 @@ class _Reader:
 
     def take(self, count: int) -> memoryview:
         if self.pos + count > len(self.blob):
-            raise Truncated(f"checkpoint truncated at byte {self.pos} (wanted {count} more)")
+            raise CheckpointError(f"checkpoint truncated at byte {self.pos} (wanted {count} more)")
         out = self.blob[self.pos : self.pos + count]
         self.pos += count
         return out
@@ -535,10 +514,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     r = _Reader(memoryview(blob))
     if r.take(4) != MAGIC:
-        raise BadMagic(f"{path} is not a checkpoint (bad magic)")
+        raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
     version = r.u32()
     if version != VERSION:
-        raise BadVersion(f"unsupported checkpoint version {version}")
+        raise CheckpointError(f"unsupported checkpoint version {version}")
     crc, length = struct.unpack("<IQ", r.take(12))
     payload = r.take(length)
     if r.pos != len(blob):

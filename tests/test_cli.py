@@ -416,6 +416,80 @@ def test_train_output_path_in_a_missing_directory_is_usage_error(tmp_path, conf,
     assert sorted(tmp_path.rglob("*")) == before
 
 
+# Each command's arguments, its --out value, the file the directory case
+# makes a folder and the file the missing case names: there --out is put
+# under a folder "nodir" that does not exist, and eval checks .txt first.
+_EVAL = ["eval", "--checkpoint", "{ckpt}", "--dataset", "{data}", "--out", "{out}"]
+OUTPUT_CASES = {
+    "synth": (["synth", "--out", "{out}", "--n", "3", "--force"], "x.jsonl", "x.jsonl", "x.jsonl"),
+    "eval-txt": (_EVAL, "e", "e.txt", "e.txt"),
+    "eval-json": (_EVAL, "e", "e.json", "e.txt"),
+    "predict": (["predict", "--checkpoint", "{ckpt}", "--image", "img.npy", "--out", "{out}"], "p.txt", "p.txt", "p.txt"),
+    "probe": (["probe", "--seeds", "1", "--t-list", "10", "--out", "{out}"], "probe.csv", "probe.csv", "probe.csv"),
+}
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+@pytest.mark.parametrize("command", list(OUTPUT_CASES))
+def test_every_command_checks_its_output_path_before_any_work(
+    tmp_path, conf, trained, capsys, monkeypatch, command, where
+):
+    # each ended in an IsADirectoryError traceback or, after the whole
+    # run, in a data error naming the missing directory
+    data, ckpt = trained
+    argv, out, folder, unplaced = OUTPUT_CASES[command]
+    monkeypatch.chdir(tmp_path)
+    np.save("img.npy", load_dataset(data)[0][0].image)
+    if where == "directory":
+        Path(folder).mkdir()
+        message = f"{folder} is a directory"
+    else:
+        out = f"nodir/{out}"
+        message = f"nodir/{unplaced} is not in an existing directory"
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    rc = main([arg.format(out=out, ckpt=ckpt, data=data) for arg in argv] + ["--config", conf] * (command != "probe"))
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: --out path {message}\n"
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--out", "c.ckpt", "--log", "c.ckpt"], "log path c.ckpt is also the --out path"),
+        (["--out", "d.ckpt", "--log", "d.ckpt.vocab"], "vocabulary path d.ckpt.vocab is also the log path"),
+    ],
+    ids=["log-is-checkpoint", "log-is-vocabulary"],
+)
+def test_train_outputs_naming_one_file_are_usage_error(tmp_path, conf, capsys, monkeypatch, flags, message):
+    # both exited 0, the checkpoint or vocabulary written over the log
+    data = synth(tmp_path, conf)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    rc = main(["train", "--config", conf, "--dataset", str(data), *flags, *FAST_TRAIN])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_an_output_stem_naming_no_file_is_usage_error(tmp_path, conf, trained, capsys, monkeypatch, command):
+    # ``--out .`` has no name to put a suffix on: a ValueError traceback
+    data, ckpt = trained
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    inputs = ["--dataset", str(data)] + (["--checkpoint", str(ckpt)] if command == "eval" else [])
+    rc = main([command, "--config", conf, *inputs, "--out", "."])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: --out path . is a directory\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_overlong_caption_is_data_error(tmp_path, conf):
     data = synth(tmp_path, conf)
     lines = data.read_text().splitlines()
@@ -1032,6 +1106,29 @@ def test_probe_rejects_the_run_flags_it_never_read(tmp_path, monkeypatch, flags,
     captured = capsys.readouterr()
     assert captured.err == f"usage error: unrecognized arguments: {' '.join(flags)}\n"
     assert captured.out == "" and not (tmp_path / "probe.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, cap",
+    [
+        (["--dims", "2000000000"], "MAX_PROBE_DIMS"),  # a 14.9 GiB objective
+        (["--seeds", "100000000000"], "MAX_PROBE_STEPS"),  # a list of 10**11 seeds
+        (["--t-list", "1,100000000000"], "MAX_PROBE_STEPS"),  # 10**11 steps: ran for hours
+    ],
+    ids=["dims", "seeds", "horizon"],
+)
+def test_probe_over_a_size_cap_is_usage_error_before_any_allocation(tmp_path, flags, cap):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hazardvlm", "probe", "--out", "probe.csv", *flags],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stderr.startswith("usage error: probe: ") and cap in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_probe_single_horizon_prints_no_slope(capsys):

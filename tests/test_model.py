@@ -290,7 +290,6 @@ def test_effective_weight_zero_a_is_bitwise_identity():
     adapter = LoRAAdapter(
         a=Tensor(np.zeros((6, 2), np.float32)),
         b=Tensor(rng.standard_normal((2, 4)).astype(np.float32)),
-        target="w",
     )
     out = effective_weight(w, adapter)
     assert np.array_equal(out.data, w.data)
@@ -300,16 +299,16 @@ def test_effective_weight_zero_base():
     rng = np.random.default_rng(1)
     a = Tensor(rng.standard_normal((6, 2)).astype(np.float32))
     b = Tensor(rng.standard_normal((2, 4)).astype(np.float32))
-    out = effective_weight(Tensor(np.zeros((6, 4), np.float32)), LoRAAdapter(a, b, "w"))
+    out = effective_weight(Tensor(np.zeros((6, 4), np.float32)), LoRAAdapter(a, b))
     np.testing.assert_allclose(out.data, a.data @ b.data, atol=1e-6)
 
 
 def test_effective_weight_shape_errors():
     w = Tensor(np.zeros((6, 4), np.float32))
     with pytest.raises(tz.ShapeError):
-        effective_weight(w, LoRAAdapter(Tensor(np.zeros((5, 2), np.float32)), Tensor(np.zeros((2, 4), np.float32)), "w"))
+        effective_weight(w, LoRAAdapter(Tensor(np.zeros((5, 2), np.float32)), Tensor(np.zeros((2, 4), np.float32))))
     with pytest.raises(tz.ShapeError):
-        effective_weight(w, LoRAAdapter(Tensor(np.zeros((6, 2), np.float32)), Tensor(np.zeros((3, 4), np.float32)), "w"))
+        effective_weight(w, LoRAAdapter(Tensor(np.zeros((6, 2), np.float32)), Tensor(np.zeros((3, 4), np.float32))))
 
 
 def test_trainable_parameter_ratio():
@@ -609,12 +608,12 @@ def test_generate_greedy_matches_argmax_chain(tiny_model):
 def test_generate_validates_arguments(tiny_model):
     fused = _fused(tiny_model)
     with pytest.raises(ValueError):
-        tiny_model.generate(fused, max_len=4, top_p=1.5)
+        tiny_model.generate(fused, max_len=4, top_p=1.5, temperature=0.95)
     for temperature in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
-            tiny_model.generate(fused, max_len=4, temperature=temperature)
+            tiny_model.generate(fused, max_len=4, top_p=0.9, temperature=temperature)
     with pytest.raises(ValueError):
-        tiny_model.generate(fused, max_len=TINY.max_caption_len + 1)
+        tiny_model.generate(fused, max_len=TINY.max_caption_len + 1, top_p=0.9, temperature=0.95)
 
 
 def test_generate_rejects_a_temperature_too_small_for_the_logits(tiny_model):
@@ -704,14 +703,14 @@ def test_greedy_decoding_builds_no_rng_and_sampling_one_per_scene(tiny_model, mo
 
     with monkeypatch.context() as m:
         m.setattr(model_module.np.random, "default_rng", refusing_rng)
-        greedy = tiny_model.generate(fused, TINY.max_caption_len, top_p=0.0)
-    assert greedy == tiny_model.generate(fused, TINY.max_caption_len, top_p=0.0)
+        greedy = tiny_model.generate(fused, TINY.max_caption_len, top_p=0.0, temperature=0.95)
+    assert greedy == tiny_model.generate(fused, TINY.max_caption_len, top_p=0.0, temperature=0.95)
     with monkeypatch.context() as m:
         m.setattr(model_module.np.random, "default_rng", counting_rng)
-        sampled = tiny_model.generate(fused, TINY.max_caption_len, top_p=0.9, seed=11)
+        sampled = tiny_model.generate(fused, TINY.max_caption_len, top_p=0.9, temperature=0.95, seed=11)
     assert seeds == [11, 11, 11]
     for i in range(3):
-        alone = tiny_model.generate(Tensor(fused.data[i]), TINY.max_caption_len, top_p=0.9, seed=11)
+        alone = tiny_model.generate(Tensor(fused.data[i]), TINY.max_caption_len, top_p=0.9, temperature=0.95, seed=11)
         assert sampled[i] == alone
 
 

@@ -215,11 +215,11 @@ def test_schedule_domain_errors():
     with pytest.raises(ValueError):
         lr_at(sched, sched.total_steps + 1)
     with pytest.raises(ValueError):
-        ScheduleConfig(warmup_steps=300, total_steps=300)
+        ScheduleConfig(base_lr=1e-4, warmup_start_lr=3e-5, warmup_steps=300, total_steps=300)
     # NaN, negative and infinite rates were accepted: lr_at gave nan, -0.5 or inf
     for base_lr, warmup_start_lr in [(math.nan, 3e-5), (1e-4, math.nan), (-1.0, -2.0), (math.inf, 3e-5)]:
         with pytest.raises(ValueError, match="0 <= warmup_start_lr <= base_lr < inf"):
-            ScheduleConfig(base_lr=base_lr, warmup_start_lr=warmup_start_lr, total_steps=10)
+            ScheduleConfig(base_lr=base_lr, warmup_start_lr=warmup_start_lr, warmup_steps=0, total_steps=10)
 
 
 @given(st.integers(0, 300))
@@ -303,6 +303,6 @@ def test_probe_slope_fit_on_synthetic_powerlaw():
 
 def test_probe_table_format():
     rows = [(100, 0.5), (1000, 0.05)]
-    text = optim.probe_table(rows)
+    text = optim.probe_table(rows, fitted_loglog_slope(rows))
     assert "100" in text and "slope" in text
     assert len(text.splitlines()) == 5

@@ -30,15 +30,12 @@ from hazardvlm.training import (
     HAZARD_PROMPT,
     MAGIC,
     VERSION,
-    BadMagic,
-    BadVersion,
     Checkpoint,
     CheckpointError,
     LOG_HEADER,
     Predictor,
     StepLog,
     TrainConfig,
-    Truncated,
     _batch_breakdown,
     _shared_prefix,
     accumulate_gradients,
@@ -274,9 +271,11 @@ def test_train_merges_and_encodes_the_prompt_once_per_accumulation_group(monkeyp
     merges, prompt_encodes = Counter(), []
     effective_weight, encode_text = model_module.effective_weight, HazardModel.encode_text
 
+    targets = {id(adapter): target for target, adapter in model.params.adapters.items()}
+
     def counting_effective_weight(w, adapter):
         if tz._TAPE_STACK:  # recorded: not the validation's inference view
-            merges[adapter.target] += 1
+            merges[targets[id(adapter)]] += 1
         return effective_weight(w, adapter)
 
     def counting_encode_text(self, tokens):
@@ -611,8 +610,10 @@ def test_evaluate_merges_each_adapter_and_encodes_the_prompt_once(monkeypatch):
     merges, prompt_encodes = Counter(), []
     effective_weight, encode_text = model_module.effective_weight, HazardModel.encode_text
 
+    targets = {id(adapter): target for target, adapter in model.params.adapters.items()}
+
     def counting_effective_weight(w, adapter):
-        merges[adapter.target] += 1
+        merges[targets[id(adapter)]] += 1
         return effective_weight(w, adapter)
 
     def counting_encode_text(self, tokens):
@@ -832,21 +833,10 @@ def test_evaluate_report_schema_and_determinism():
     assert r1.mse_pixels >= 0.0
 
 
-def test_evaluate_max_samples_and_empty():
-    samples, vocab = make_dataset(8)
-    model = small_model(vocab)
-    assert evaluate(model, samples, vocab, max_samples=3).count == 3
-    assert evaluate(model, samples, vocab, max_samples=0).count == 8  # 0: no cap
+def test_evaluate_rejects_an_empty_set():
+    _, vocab = make_dataset(1)
     with pytest.raises(ValueError):
-        evaluate(model, [], vocab)
-
-
-def test_evaluate_rejects_negative_max_samples():
-    samples, vocab = make_dataset(4)
-    model = small_model(vocab)
-    # a negative cap would slice off the tail, not cap the head
-    with pytest.raises(ValueError, match="max_samples"):
-        evaluate(model, samples, vocab, max_samples=-1)
+        evaluate(small_model(vocab), [], vocab)
 
 
 def test_train_streams_log(tmp_path):
@@ -933,12 +923,12 @@ def test_checkpoint_corruption_errors_are_distinct(tmp_path):
 
     bad_magic = tmp_path / "magic.ckpt"
     bad_magic.write_bytes(b"XXXX" + blob[4:])
-    with pytest.raises(BadMagic):
+    with pytest.raises(CheckpointError, match="bad magic"):
         load_checkpoint(bad_magic)
 
     bad_version = tmp_path / "version.ckpt"
     bad_version.write_bytes(blob[:4] + b"\x63\x00\x00\x00" + blob[8:])
-    with pytest.raises(BadVersion):
+    with pytest.raises(CheckpointError, match="version 99"):
         load_checkpoint(bad_version)
 
     # the version 2 layout, sealed: an optimizer-moment section before the metadata
@@ -946,12 +936,12 @@ def test_checkpoint_corruption_errors_are_distinct(tmp_path):
     moments = struct.pack("<II3sIQ", 1, 3, b"m.x", 1, 2) + np.ones(2, "<f4").tobytes()
     version2 = tmp_path / "version2.ckpt"
     version2.write_bytes(sealed_checkpoint(payload[:-24] + moments + payload[-24:], version=2))
-    with pytest.raises(BadVersion, match="version 2"):
+    with pytest.raises(CheckpointError, match="version 2"):
         load_checkpoint(version2)
 
     truncated = tmp_path / "trunc.ckpt"
     truncated.write_bytes(blob[: len(blob) // 2])
-    with pytest.raises(Truncated):
+    with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(truncated)
 
 
