@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
+from typing import Sequence
 
 from .data import (
     MAX_SYNTH_FLOATS,
@@ -33,11 +34,12 @@ from .optim import DivergenceError, convergence_probe, fitted_loglog_slope, prob
 from .tensor import NonFiniteError, Tensor
 from .training import (
     HAZARD_PROMPT,
+    PROMPT_TOKENS,
     CheckpointError,
-    Predictor,
     TrainConfig,
     apply_checkpoint,  # noqa: F401 (patched by the benchmark tracer)
     evaluate,
+    infer,
     load_checkpoint,
     restore_model,
     save_checkpoint,
@@ -203,12 +205,13 @@ def _vocab_path(checkpoint: str | Path) -> Path:
     return Path(str(checkpoint) + ".vocab")
 
 
-def _check_outputs(*outputs: tuple[str, str | Path]) -> None:
+def _check_outputs(*outputs: tuple[str, str | Path], inputs: Sequence[tuple[str, str | Path | None]] = ()) -> None:
     """UsageError unless each ``(what, path)`` output names a file in an
-    existing directory, and no two name the same file. Every command checks
-    its outputs with this before any work, which may write them only at
-    its end."""
-    seen: dict[Path, str] = {}
+    existing directory, and no two name the same file or one of the
+    command's ``inputs`` (a None path is an input not given). Every command
+    checks its outputs with this before any work, which may write them only
+    at its end."""
+    seen = {Path(path).resolve(): what for what, path in inputs if path is not None}
     for what, path in outputs:
         path = Path(path)
         if path.is_dir():
@@ -219,6 +222,23 @@ def _check_outputs(*outputs: tuple[str, str | Path]) -> None:
         if key in seen:
             raise UsageError(f"{what} path {path} is also the {seen[key]} path")
         seen[key] = what
+
+
+def _checkpoint_inputs(args) -> list[tuple[str, str | Path | None]]:
+    """The files ``eval`` and ``predict`` read: the config, the checkpoint
+    and its vocabulary, given or beside it."""
+    return [
+        ("--config", args.config),
+        ("--checkpoint", args.checkpoint),
+        ("--vocab", args.vocab or _vocab_path(args.checkpoint)),
+    ]
+
+
+def _check_prompt_fits(max_caption_len: int, error: type[Exception], where: str) -> None:
+    """``error`` unless a model of ``max_caption_len`` can encode the prompt
+    every scene is paired with."""
+    if max_caption_len < PROMPT_TOKENS:
+        raise error(f"{where}: max_caption_len = {max_caption_len} is shorter than the {PROMPT_TOKENS}-token prompt")
 
 
 def _with_suffix(out: str, suffix: str) -> Path:
@@ -235,7 +255,7 @@ def _with_suffix(out: str, suffix: str) -> Path:
 def cmd_synth(args) -> int:
     cfg = build_run_config(args)
     out = Path(args.out)
-    _check_outputs(("--out", out))
+    _check_outputs(("--out", out), inputs=[("--config", args.config)])
     if out.exists() and not args.force:
         raise DataError(f"{out} exists; pass --force to overwrite")
     synth_cfg = config_for(SynthConfig, cfg)
@@ -252,7 +272,12 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     cfg = build_run_config(args)
     log_path = args.log or str(_with_suffix(args.out, ".csv"))
-    _check_outputs(("--out", args.out), ("log", log_path), ("vocabulary", _vocab_path(args.out)))
+    base = args.init_from
+    _check_outputs(
+        ("--out", args.out), ("log", log_path), ("vocabulary", _vocab_path(args.out)),
+        inputs=[("--config", args.config), ("--dataset", args.dataset), ("--init-from", base),
+                ("--init-from vocabulary", _vocab_path(base) if base else None)],
+    )
     if cfg.mode == "lora":
         if not args.init_from:
             raise UsageError("--init-from <base checkpoint> is required for lora mode")
@@ -265,6 +290,7 @@ def cmd_train(args) -> int:
             setattr(cfg, name, getattr(model.config, name))
         samples = _load_samples(args.dataset, model.config)
     else:
+        _check_prompt_fits(cfg.max_caption_len, UsageError, "bad config")
         samples = _load_samples(args.dataset, cfg)
         vocab = build_vocab([s.caption for s in samples] + [HAZARD_PROMPT])
         model = HazardModel(config_for(ModelConfig, cfg, vocab_size=len(vocab)), seed=cfg.seed)
@@ -302,6 +328,7 @@ def _restore_model(checkpoint: str, vocab_file: str | None, lora_rank: int | Non
     vocab = Vocabulary.load(vocab_path)
     ckpt = load_checkpoint(checkpoint)
     config = ckpt.config
+    _check_prompt_fits(config.max_caption_len, DataError, checkpoint)
     if len(vocab) != config.vocab_size:
         raise DataError(
             f"vocabulary {vocab_path} has {len(vocab)} tokens, {checkpoint} was built for {config.vocab_size}"
@@ -320,7 +347,9 @@ def cmd_eval(args) -> int:
     cfg = build_run_config(args)
     if args.out:
         text_path, json_path = _with_suffix(args.out, ".txt"), _with_suffix(args.out, ".json")
-        _check_outputs(("--out", text_path), ("--out", json_path))
+        _check_outputs(
+            ("--out", text_path), ("--out", json_path), inputs=[*_checkpoint_inputs(args), ("--dataset", args.dataset)]
+        )
     model, vocab = _restore_model(args.checkpoint, args.vocab)
     samples = _load_samples(args.dataset, model.config)
     report = evaluate(model, samples[: cfg.max_samples or None], vocab)
@@ -335,7 +364,7 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     cfg = build_run_config(args)
     if args.out:
-        _check_outputs(("--out", args.out))
+        _check_outputs(("--out", args.out), inputs=[*_checkpoint_inputs(args), ("--image", args.image)])
     top_p = 0.0 if args.greedy else cfg.top_p
     model, vocab = _restore_model(args.checkpoint, args.vocab)
     try:
@@ -343,8 +372,7 @@ def cmd_predict(args) -> int:
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     _check_image_shape(image.shape, model.config, "image")
-    predict = Predictor(model, vocab)
-    point, ids = predict(Tensor(image), top_p=top_p, temperature=cfg.temperature, seed=cfg.seed)
+    point, ids = infer(model, vocab, Tensor(image), top_p=top_p, temperature=cfg.temperature, seed=cfg.seed)
     output = f"hazard=({point.x:g}, {point.y:g})\n{detokenize(ids, vocab)}\n"
     print(output, end="")
     if args.out:

@@ -523,7 +523,7 @@ class HazardModel:
         and gives B lists: scene i draws from its own rng seeded ``seed``,
         so its ids are those of a call on ``fused[i]`` alone. A scene that
         emits the end token leaves the batch and its cache rows. Each step's
-        logits must be finite (``check_finite``), also when the per-op
+        logits must be finite (``tz.check_finite``), also when the per-op
         guard is off, and so must logits / temperature (``SamplingError``).
         top_p 0 decodes greedily: each scene takes the first maximum of its
         probabilities, and no rng is built."""
@@ -543,7 +543,7 @@ class HazardModel:
         tokens = np.full(scenes, START_ID).reshape(step_shape)
         for _ in range(max_len):
             logits = self._decoder_states(fused, tokens, cache).data[..., -1, :]
-            check_finite(logits, "decoder logits")
+            tz.check_finite(logits, "decoder logits")
             rows = logits.reshape(len(live), -1).astype(np.float64)
             if greedy:
                 # the token nucleus keeps at top_p 0: the first maximum of the
@@ -576,14 +576,6 @@ def check_sampling(top_p: float, temperature: float) -> None:
         raise ValueError(f"top_p must be in [0, 1], got {top_p}")
     if not 0.0 < temperature < math.inf:
         raise ValueError(f"temperature must be positive and finite, got {temperature}")
-
-
-def check_finite(values: np.ndarray, stage: str) -> None:
-    """NonFiniteError naming ``stage`` unless every one of ``values`` is
-    finite. Inference runs without the per-op guard and checks each
-    stage's output with this instead."""
-    if not np.isfinite(values).all():
-        raise tz.NonFiniteError(f"non-finite values in stage '{stage}'")
 
 
 def probabilities(rows: np.ndarray, temperature: float) -> np.ndarray:

@@ -160,12 +160,14 @@ def adamw_step(
     parameters' common dtype, and then writes each parameter in place;
     every element gets the bits of updating its tensor alone. Empty moments
     start from zeros; otherwise they must be the FlatArrays an earlier step
-    made over the same names, shapes and dtype. A missing or misshapen
-    gradient, or moments made for other parameters, raise ValueError
-    before anything, the state included, has changed.
+    made over the same names, shapes and dtype. A learning rate that is
+    negative or not finite, a missing or misshapen gradient, or moments
+    made for other parameters raise ValueError before anything, the state
+    included, has changed.
     """
-    if lr < 0:
-        raise ValueError(f"negative learning rate {lr}")
+    # written as `not <valid>`, so NaN fails too
+    if not 0 <= lr < math.inf:
+        raise ValueError(f"learning rate must be finite and non-negative, got {lr}")
     data = [p.data for p in params.values()]
     shapes = dict(zip(params, (d.shape for d in data)))
     dtype = np.result_type(*data) if data else DEFAULT_DTYPE
@@ -353,6 +355,8 @@ def convergence_probe(
         raise ValueError("t_list must contain horizons >= 1")
     if not 1 <= dims <= MAX_PROBE_DIMS:
         raise ValueError(f"dims must be in [1, MAX_PROBE_DIMS = {MAX_PROBE_DIMS}], got {dims}")
+    if not 0 <= lr0 < math.inf:
+        raise ValueError(f"lr0 must be finite and non-negative, got {lr0}")
     if len(seeds) * checkpoints[-1] > MAX_PROBE_STEPS:
         raise ValueError(
             f"{len(seeds)} seed(s) x {checkpoints[-1]} steps exceed MAX_PROBE_STEPS = {MAX_PROBE_STEPS}"

@@ -22,9 +22,9 @@ import numpy as np
 
 DEFAULT_DTYPE = np.float32
 
-# NaN/Inf guard at op outputs, on by default. Training and inference turn
-# it off (`finite_checks(False)`) and check their losses or stage outputs
-# instead, rerunning with it on to name the op when a check fails.
+# NaN/Inf guard at op outputs, on by default. Training and inference run
+# with it off and check their losses or stage outputs instead, rerunning
+# with it on to name the op when a check fails (`rerun_guarded`).
 _FINITE_CHECKS = True
 
 _TAPE_STACK: list["Tape"] = []
@@ -54,6 +54,29 @@ class finite_checks:
         global _FINITE_CHECKS
         _FINITE_CHECKS = self.prev
         return False
+
+
+def rerun_guarded(run: Callable[[], object], *also: type[Exception]):
+    """``run()`` with the NaN/Inf guard off. When it raises NonFiniteError
+    or one of ``also``, it runs again with the guard on, so that the error
+    names the op that first produced a non-finite value (its
+    ``__context__`` is the first error); if that run passes, the first
+    error is raised."""
+    try:
+        with finite_checks(False):
+            return run()
+    except (NonFiniteError, *also):
+        with finite_checks(True):
+            run()
+        raise
+
+
+def check_finite(values: np.ndarray, stage: str) -> None:
+    """NonFiniteError naming ``stage`` unless every one of ``values`` is
+    finite: the check a run with the guard off makes of a stage's output
+    instead."""
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"non-finite values in stage '{stage}'")
 
 
 class Tensor:

@@ -19,10 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as tz
-from .data import AnnotatedSample, Vocabulary, caption_targets, detokenize, normalize, tokenize
-from .localization import PixelPoint, grid_to_pixel, hard_argmax, pixel_to_grid, soft_argmax
+from .data import RESERVED, AnnotatedSample, Vocabulary, caption_targets, detokenize, normalize, tokenize
+from .localization import grid_to_pixel, hard_argmax, pixel_to_grid, soft_argmax
 from .metrics import MetricsReport, corpus_report
-from .model import HazardModel, ModelConfig, adapter_shapes, check_finite, holds_adapters, parameter_specs
+from .model import HazardModel, ModelConfig, adapter_shapes, holds_adapters, parameter_specs
 from .objective import LossWeights, coord_loss, total_loss
 from .optim import AdamWState, DivergenceError, FlatArrays, ScheduleConfig, adamw_step, clip_grad_norm, lr_at
 from .tensor import Tape, Tensor
@@ -30,6 +30,9 @@ from .tensor import Tape, Tensor
 # The text prompt paired with every image. The annotation task never
 # defines one, so the synthetic task fixes this instruction string.
 HAZARD_PROMPT = "identify the hazard."
+# its length in tokens, the same under every vocabulary (an unseen word is
+# <unk>); a model's max_caption_len must hold it
+PROMPT_TOKENS = len(tokenize(HAZARD_PROMPT, Vocabulary(list(RESERVED))))
 
 # The step log's smoothed loss is an exponential moving average with this
 # weight on the newest step; a loss above DIVERGENCE_FACTOR times the first
@@ -217,8 +220,8 @@ def train(
     Each micro-batch's forward runs without the per-op NaN/Inf guard and
     checks its loss instead; when that is not finite, or a layer norm's
     variance overflows, the shared work and the forward run again with the
-    guard on, so the error names the op. A non-finite gradient fails
-    ``clip_grad_norm``'s check.
+    guard on (``tz.rerun_guarded``), so the error names the op. A
+    non-finite gradient fails ``clip_grad_norm``'s check.
     """
     if not d_train:
         raise ValueError("empty training set")
@@ -256,24 +259,22 @@ def train(
                 group_raw: list[tuple[float, float, float]] = []
                 for start in range(0, n, cfg.batch_size):
                     batch = [d_train[i] for i in order[start : start + cfg.batch_size]]
-                    try:
-                        with tz.finite_checks(False):
-                            if prefix is None:
-                                prefix = _shared_prefix(model, prompt_ids)
-                            nodes, view, prompt = prefix
-                            with Tape(nodes) as tape:
-                                breakdown = _batch_breakdown(view, batch, prompt_ids, vocab, cfg, prompt)
-                        coord_v, text_v, raw = breakdown.values()
-                        if not math.isfinite(raw):
+
+                    def forward():
+                        nonlocal prefix
+                        # the prefix is kept once the loss passes, so the
+                        # guarded rerun of a failed micro-batch records it again
+                        shared, prefix = prefix or _shared_prefix(model, prompt_ids), None
+                        nodes, view, prompt = shared
+                        with Tape(nodes) as tape:
+                            breakdown = _batch_breakdown(view, batch, prompt_ids, vocab, cfg, prompt)
+                        if not math.isfinite(breakdown.total.item()):
                             raise DivergenceError(f"non-finite loss at epoch {epoch}, step {step}")
-                    except (tz.NonFiniteError, DivergenceError):
-                        # again with the per-op guard, prefix included, so the
-                        # error names the op that first produced a non-finite value
-                        with tz.finite_checks(True):
-                            nodes, view, prompt = _shared_prefix(model, prompt_ids)
-                            with Tape(nodes):
-                                _batch_breakdown(view, batch, prompt_ids, vocab, cfg, prompt)
-                        raise
+                        prefix = shared
+                        return tape, breakdown
+
+                    tape, breakdown = tz.rerun_guarded(forward, DivergenceError)
+                    coord_v, text_v, raw = breakdown.values()
                     if initial_raw is None:
                         initial_raw = raw
                     elif raw > DIVERGENCE_FACTOR * max(initial_raw, 1e-12):
@@ -281,6 +282,7 @@ def train(
                             f"loss {raw:.4g} exceeds {DIVERGENCE_FACTOR}x initial {initial_raw:.4g}"
                         )
                     tape.backward(breakdown.total)
+                    del tape  # its activations, freed before the next forward
                     group_raw.append((coord_v, text_v, raw))
 
                     last_micro = start + cfg.batch_size >= n
@@ -317,79 +319,50 @@ def train(
     return result
 
 
-class Predictor:
+def infer(
+    model: HazardModel, vocab: Vocabulary, images: Tensor, top_p: float = 0.0, temperature: float = 1.0, seed: int = 0
+):
     """Hazard point (hard argmax of the attention map) and caption token ids
-    for images, from one model prompted with ``HAZARD_PROMPT``.
+    of a C x S x S image, from the model prompted with ``HAZARD_PROMPT``;
+    of a B x C x S x S stack, run as one batch, a list of them, entry i
+    what ``images[i]`` alone gives. top_p 0 decodes greedily.
 
-    Construction does the per-model work once: every adapter is merged into
-    its base weight (``HazardModel.merged``) and the prompt's projected
-    latent is computed. Build one outside a Tape, and a new one whenever
-    the weights change: ``evaluate`` builds one per call.
+    The weight-only work (``_weight_only_work``: merged adapters and the
+    prompt's latent) runs once per call. Everything runs without the
+    per-op NaN/Inf guard and checks each stage's output instead: the
+    encoder features and map, the fused latents and each decode step's
+    logits. When one is not finite, the same inference runs again with the
+    guard on (``tz.rerun_guarded``), so the error names the op.
     """
+    prompt_ids = tokenize(HAZARD_PROMPT, vocab)
+    cfg = model.config
 
-    def __init__(self, model: HazardModel, vocab: Vocabulary):
-        self.model, self.prompt_latent = _weight_only_work(model, tokenize(HAZARD_PROMPT, vocab))
-
-    def __call__(
-        self, image: Tensor, top_p: float = 0.0, temperature: float = 1.0, seed: int = 0
-    ) -> tuple[PixelPoint, list[int]]:
-        """Point and caption ids for one C x S x S image; top_p 0 decodes
-        greedily."""
-        return self._infer(image, top_p, temperature, seed)
-
-    def batch(
-        self, images: Tensor, top_p: float = 0.0, temperature: float = 1.0, seed: int = 0
-    ) -> list[tuple[PixelPoint, list[int]]]:
-        """Point and caption ids for each image of a B x C x S x S stack, run
-        as one batch; entry i is what the single-image call gives images[i]."""
-        if len(images.shape) != 4:
-            raise tz.ShapeError(f"expected a B x C x S x S stack of images, got shape {images.shape}")
-        return list(zip(*self._infer(images, top_p, temperature, seed)))
-
-    def _infer(self, images: Tensor, top_p, temperature, seed):
-        """(point, ids) of one image, or (points, ids lists) of a stack.
-
-        Runs without the per-op NaN/Inf guard and checks each stage's
-        output instead: the encoder features and map, the fused latents and
-        each decode step's logits. When one is not finite, the same
-        inference runs again with the guard on, so the error names the op.
-        """
-        try:
-            with tz.finite_checks(False):
-                return self._stages(images, top_p, temperature, seed)
-        except tz.NonFiniteError as stage_error:
-            with tz.finite_checks(True):
-                self._stages(images, top_p, temperature, seed)
-            raise stage_error
-
-    def _stages(self, images: Tensor, top_p, temperature, seed):
-        model = self.model
-        cfg = model.config
-        feats, amap = model.encode_image(images)
-        check_finite(feats.data, "encoder features")
-        check_finite(amap.grid.data, "attention map")
+    def stages():
+        view, latent = _weight_only_work(model, prompt_ids)
+        feats, amap = view.encode_image(images)
+        tz.check_finite(feats.data, "encoder features")
+        tz.check_finite(amap.grid.data, "attention map")
         # every scene shares the prompt; inference only, so no gradient to it
         lead = images.shape[:-3]
-        prompt = Tensor(np.broadcast_to(self.prompt_latent.data, (*lead, *self.prompt_latent.shape)))
-        fused = model.fuse(model.project(feats, "image"), prompt)
-        check_finite(fused.data, "fused latents")
-        ids = model.generate(
-            fused, max_len=cfg.max_caption_len, top_p=top_p, temperature=temperature, seed=seed
-        )
+        prompt = Tensor(np.broadcast_to(latent.data, (*lead, *latent.shape)))
+        fused = view.fuse(view.project(feats, "image"), prompt)
+        tz.check_finite(fused.data, "fused latents")
+        ids = view.generate(fused, max_len=cfg.max_caption_len, top_p=top_p, temperature=temperature, seed=seed)
         cells = hard_argmax(amap)
         if lead:
-            return [grid_to_pixel(c, cfg.patch_size, cfg.image_size) for c in cells], ids
+            return [(grid_to_pixel(c, cfg.patch_size, cfg.image_size), i) for c, i in zip(cells, ids)]
         return grid_to_pixel(cells, cfg.patch_size, cfg.image_size), ids
+
+    return tz.rerun_guarded(stages)
 
 
 def evaluate(model: HazardModel, samples: Sequence[AnnotatedSample], vocab: Vocabulary) -> MetricsReport:
     """Greedy decoding plus hard-argmax localization over a sample set,
-    run as one batch (``Predictor.batch``)."""
+    run as one batch (``infer`` on the stacked images)."""
     if not samples:
         raise ValueError("empty evaluation set")
-    predict = Predictor(model, vocab)
     batch = list(samples)
-    results = predict.batch(Tensor(np.stack([s.image for s in batch])))
+    results = infer(model, vocab, Tensor(np.stack([s.image for s in batch])))
     refs = [normalize(s.caption) for s in batch]
     cands = [detokenize(ids, vocab).split() for _, ids in results]
     truths = [s.hazard for s in batch]

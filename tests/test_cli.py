@@ -476,6 +476,39 @@ def test_train_outputs_naming_one_file_are_usage_error(tmp_path, conf, capsys, m
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize(
+    "argv, clobbered, message",
+    [
+        (["train", "--dataset", "{data}", "--out", "x.ckpt", "--log", "{data}"], "{data}",
+         "log path {data} is also the --dataset path"),
+        (["train", "--dataset", "{data}", "--out", "{data}"], "{data}", "--out path {data} is also the --dataset path"),
+        (["predict", "--checkpoint", "{ckpt}", "--image", "img.npy", "--out", "img.npy"], "img.npy",
+         "--out path img.npy is also the --image path"),
+        (["train", "--dataset", "{data}", "--mode", "lora", "--init-from", "{ckpt}", "--out", "{ckpt}"], "{ckpt}",
+         "--out path {ckpt} is also the --init-from path"),
+    ],
+    ids=["log-over-dataset", "checkpoint-over-dataset", "prediction-over-image", "lora-over-its-base"],
+)
+def test_an_output_naming_an_input_is_usage_error(
+    tmp_path, conf, trained, capsys, monkeypatch, argv, clobbered, message
+):
+    # each exited 0, having written its output over the input
+    data, ckpt = trained
+    monkeypatch.chdir(tmp_path)
+    np.save("img.npy", load_dataset(data)[0][0].image)
+    clobbered = Path(clobbered.format(data=data, ckpt=ckpt))
+    held = clobbered.read_bytes()
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    rc = main([*(arg.format(data=data, ckpt=ckpt) for arg in argv), "--config", conf])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {message.format(data=data, ckpt=ckpt)}\n"
+    assert captured.out == ""
+    assert clobbered.read_bytes() == held
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_an_output_stem_naming_no_file_is_usage_error(tmp_path, conf, trained, capsys, monkeypatch, command):
     # ``--out .`` has no name to put a suffix on: a ValueError traceback
@@ -499,6 +532,51 @@ def test_overlong_caption_is_data_error(tmp_path, conf):
     data.write_text("\n".join(lines) + "\n")
     rc = main(["train", "--config", conf, "--dataset", str(data), "--out", str(tmp_path / "x.ckpt")])
     assert rc == EXIT_DATA
+
+
+def _one_word_captions(data):
+    """The dataset at ``data``, rewritten with the caption "hazard" for
+    every scene: two target tokens, which any max_caption_len holds."""
+    records = [json.loads(line) for line in data.read_text().splitlines()]
+    data.write_text("".join(json.dumps({**r, "caption": "hazard"}) + "\n" for r in records))
+    return data
+
+
+@pytest.mark.parametrize("max_len, code", [(4, EXIT_USAGE), (5, EXIT_OK)])
+def test_train_model_too_short_for_the_prompt_is_usage_error(tmp_path, capsys, max_len, code):
+    # the prompt is 5 tokens; at 4 the run ended in a ShapeError traceback
+    short = tmp_path / "short.conf"
+    short.write_text(SMALL_CONF + f"max_caption_len = {max_len}\n")
+    data = _one_word_captions(synth(tmp_path, str(short)))
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    rc = main(["train", "--config", str(short), "--dataset", str(data), "--out", str(tmp_path / "x.ckpt"), *FAST_TRAIN])
+    assert rc == code
+    if code == EXIT_USAGE:
+        err = "usage error: bad config: max_caption_len = 4 is shorter than the 5-token prompt\n"
+        assert capsys.readouterr().err == err
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "train"])
+def test_checkpoint_model_too_short_for_the_prompt_is_data_error(tmp_path, conf, trained, capsys, command):
+    # a consistent checkpoint whose stored config has max_caption_len 4:
+    # each command ended in a ShapeError traceback
+    data, ckpt = trained
+    data = _one_word_captions(data)
+    config = dataclasses.replace(load_checkpoint(ckpt).config, max_caption_len=4)
+    bad = tmp_path / "short.ckpt"
+    save_checkpoint(HazardModel(config, seed=0), None, bad, step=0, epoch=0, seed=0)
+    (tmp_path / "short.ckpt.vocab").write_bytes((tmp_path / "model.ckpt.vocab").read_bytes())
+    if command == "train":
+        argv = ["train", "--dataset", str(data), "--out", str(tmp_path / "lora.ckpt"),
+                "--mode", "lora", "--init-from", str(bad), *FAST_TRAIN]
+    else:
+        argv = [*_eval_or_predict(command, data, tmp_path), "--checkpoint", str(bad)]
+    capsys.readouterr()
+    rc = main([*argv, "--config", conf])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {bad}: max_caption_len = 4 is shorter than the 5-token prompt\n"
 
 
 def test_corrupt_checkpoint_is_data_error(tmp_path, conf, trained):
@@ -773,6 +851,28 @@ def test_checkpoint_overflowing_only_at_decode_is_data_error(tmp_path, conf, tra
     captured = capsys.readouterr()
     assert captured.err.startswith("data error: checkpoint weights overflow: ")
     assert "non-finite values produced by op 'linear'" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_checkpoint_overflowing_only_in_the_prompt_encoding_is_data_error(tmp_path, conf, trained, capsys, command):
+    # a weight only the prompt's encoding uses: inference runs the
+    # weight-only work unguarded, fails the fused-latents check and names
+    # the op when it runs again guarded
+    data, ckpt = trained
+    model = restore_model(load_checkpoint(ckpt))
+    model.params.tensors["txt.0.attn.wq"].data[...] = 3e38
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(model, None, bad, step=0, epoch=0, seed=0)
+    (tmp_path / "bad.ckpt.vocab").write_bytes((tmp_path / "model.ckpt.vocab").read_bytes())
+    argv = _eval_or_predict(command, data, tmp_path)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+        rc = main([*argv, "--config", conf, "--checkpoint", str(bad)])
+    assert rc == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err == "data error: checkpoint weights overflow: non-finite values produced by op 'linear'\n"
     assert captured.out == ""
 
 
@@ -1145,6 +1245,15 @@ def test_probe_single_horizon_prints_no_slope(capsys):
 def test_probe_divergence_exit_code(capsys):
     rc = main(["probe", "--seeds", "1", "--t-list", "100", "--lr0", "1e30"])
     assert rc == EXIT_DIVERGED
+
+
+@pytest.mark.parametrize("lr0, code", [("nan", EXIT_USAGE), ("inf", EXIT_USAGE), ("1e300", EXIT_DIVERGED)])
+def test_probe_non_finite_lr0_is_usage_error(lr0, code, capsys):
+    # nan and inf exited 3, as if a finite rate had diverged
+    rc = main(["probe", "--seeds", "1", "--t-list", "100", "--lr0", lr0])
+    assert rc == code
+    if code == EXIT_USAGE:
+        assert capsys.readouterr().err == f"usage error: probe: lr0 must be finite and non-negative, got {lr0}\n"
 
 
 # ---------------------------------------------------------------------------

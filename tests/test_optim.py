@@ -127,6 +127,33 @@ def test_adamw_step_checks_every_gradient_before_changing_anything(bad):
     assert fresh.t == 0 and not fresh.m and not fresh.v
 
 
+@pytest.mark.parametrize("lr", [math.nan, math.inf, -0.1])
+def test_adamw_step_rejects_a_learning_rate_that_is_negative_or_not_finite(lr):
+    # NaN made every parameter NaN and inf made it -inf, with no error
+    params = {"p": Tensor(np.ones(3))}
+    state = AdamWState()
+    adamw_step(params, {"p": np.full(3, 0.5)}, state, lr=0.1)
+    before = params["p"].data.copy(), state.m.flat.copy(), state.v.flat.copy()
+    with pytest.raises(ValueError, match=f"learning rate must be finite and non-negative, got {lr}"):
+        adamw_step(params, {"p": np.full(3, 0.5)}, state, lr=lr)
+    assert state.t == 1
+    for was, now in zip(before, (params["p"].data, state.m.flat, state.v.flat)):
+        np.testing.assert_array_equal(was, now)
+
+
+@pytest.mark.parametrize("lr0", [math.nan, math.inf])
+def test_probe_rejects_a_non_finite_lr0_before_building_an_objective(lr0):
+    built = []
+
+    def objective(dims, seed):
+        built.append(seed)
+        return optim.OBJECTIVES["quadratic"](dims, seed)
+
+    with pytest.raises(ValueError, match=f"lr0 must be finite and non-negative, got {lr0}"):
+        convergence_probe(objective, dims=2, t_list=[5], seeds=[0], lr0=lr0)
+    assert built == []
+
+
 def _default_model_params():
     """The default model's trainable tensors: 131 float32 tensors in 53
     runs of neighbours of equal size."""

@@ -33,7 +33,6 @@ from hazardvlm.training import (
     Checkpoint,
     CheckpointError,
     LOG_HEADER,
-    Predictor,
     StepLog,
     TrainConfig,
     _batch_breakdown,
@@ -41,6 +40,7 @@ from hazardvlm.training import (
     accumulate_gradients,
     apply_checkpoint,
     evaluate,
+    infer,
     load_checkpoint,
     restore_model,
     sample_losses,
@@ -691,12 +691,12 @@ def test_batched_generate_matches_single_calls(monkeypatch, top_p, temperature, 
 
 
 @pytest.mark.parametrize("top_p, seed", [(0.0, 0), (0.9, 7)])
-def test_predictor_batch_matches_single_image_calls(top_p, seed):
+def test_infer_on_a_stack_matches_single_image_calls(top_p, seed):
     samples, vocab = make_dataset(8)
-    predict = Predictor(_ragged_model(vocab), vocab)
+    model = _ragged_model(vocab)
     images = np.stack([s.image for s in samples])
-    singles = [predict(Tensor(image), top_p=top_p, temperature=0.95, seed=seed) for image in images]
-    assert predict.batch(Tensor(images), top_p=top_p, temperature=0.95, seed=seed) == singles
+    singles = [infer(model, vocab, Tensor(image), top_p=top_p, temperature=0.95, seed=seed) for image in images]
+    assert infer(model, vocab, Tensor(images), top_p=top_p, temperature=0.95, seed=seed) == singles
 
 
 def _decode_overflows(vocab):
@@ -708,12 +708,12 @@ def _decode_overflows(vocab):
 
 def test_inference_failing_a_stage_check_reruns_guarded_to_name_the_op():
     samples, vocab = make_dataset(3)
-    predict = Predictor(_decode_overflows(vocab), vocab)
+    model = _decode_overflows(vocab)
     images = Tensor(np.stack([s.image for s in samples]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
         with pytest.raises(tz.NonFiniteError, match="produced by op 'linear'") as caught:
-            predict.batch(images)
+            infer(model, vocab, images)
         # the per-op guard is on again
         with pytest.raises(tz.NonFiniteError, match="op 'scale'"):
             tz.scale(Tensor(np.full(2, 3e38, np.float32)), 10.0)
@@ -722,10 +722,22 @@ def test_inference_failing_a_stage_check_reruns_guarded_to_name_the_op():
     assert str(caught.value.__context__) == "non-finite values in stage 'decoder logits'"
 
 
+def test_inference_overflowing_in_the_prompt_encoding_reruns_guarded_to_name_the_op():
+    # the weight-only work runs in the unguarded run too
+    samples, vocab = make_dataset(2)
+    model = small_model(vocab)
+    model.params.tensors["txt.0.attn.wq"].data[:] = 3e38  # used only by the prompt
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+        with pytest.raises(tz.NonFiniteError, match="produced by op 'linear'") as caught:
+            infer(model, vocab, Tensor(samples[0].image))
+    assert str(caught.value.__context__) == "non-finite values in stage 'fused latents'"
+
+
 def test_inference_names_the_stage_when_the_guarded_rerun_passes(monkeypatch):
     samples, vocab = make_dataset(2)
-    predict = Predictor(small_model(vocab), vocab)
-    generate, calls = predict.model.generate, []
+    model = small_model(vocab)  # no adapters: the merged view is the model itself
+    generate, calls = model.generate, []
 
     def fails_once(*args, **kwargs):
         calls.append(tz._FINITE_CHECKS)
@@ -733,17 +745,17 @@ def test_inference_names_the_stage_when_the_guarded_rerun_passes(monkeypatch):
             raise tz.NonFiniteError("non-finite values in stage 'decoder logits'")
         return generate(*args, **kwargs)
 
-    monkeypatch.setattr(predict.model, "generate", fails_once)
+    monkeypatch.setattr(model, "generate", fails_once)
     with pytest.raises(tz.NonFiniteError, match="stage 'decoder logits'"):
-        predict(Tensor(samples[0].image))
+        infer(model, vocab, Tensor(samples[0].image))
     assert calls == [False, True]
 
 
 def test_batched_greedy_inference_checks_once_per_stage_and_decode_step(monkeypatch):
     samples, vocab = make_dataset(8)
-    predict = Predictor(_ragged_model(vocab), vocab)
+    model = small_model(vocab)  # no adapters: the merged view is the model itself
     images = Tensor(np.stack([s.image for s in samples]))
-    decoder_states, steps = predict.model._decoder_states, []
+    decoder_states, steps = model._decoder_states, []
 
     def counted_step(*args):
         steps.append(1)
@@ -755,9 +767,9 @@ def test_batched_greedy_inference_checks_once_per_stage_and_decode_step(monkeypa
         checks.append(1)
         return isfinite(*args, **kwargs)
 
-    monkeypatch.setattr(predict.model, "_decoder_states", counted_step)
+    monkeypatch.setattr(model, "_decoder_states", counted_step)
     monkeypatch.setattr(np, "isfinite", counted_isfinite)
-    predict.batch(images)
+    infer(model, vocab, images)
     # encoder features, attention map and fused latents, then one per step
     assert steps and len(checks) <= 3 + len(steps)
 
