@@ -278,6 +278,8 @@ def cmd_train(args) -> int:
         inputs=[("--config", args.config), ("--dataset", args.dataset), ("--init-from", base),
                 ("--init-from vocabulary", _vocab_path(base) if base else None)],
     )
+    if cfg.mode != "lora" and base:
+        raise UsageError("--init-from is read only in lora mode (--mode lora)")
     if cfg.mode == "lora":
         if not args.init_from:
             raise UsageError("--init-from <base checkpoint> is required for lora mode")
@@ -305,6 +307,10 @@ def cmd_train(args) -> int:
         )
 
     train_cfg = config_for(TrainConfig, cfg, log_path=log_path)
+    try:
+        train_cfg.schedule(len(d_train))  # a step count past float range, before any training
+    except ValueError as exc:
+        raise UsageError(f"bad config: {exc}") from exc
 
     print(cfg.as_text())
     result = train(model, d_train, d_val, vocab, train_cfg)

@@ -73,7 +73,7 @@ class TrainConfig:
             raise ValueError(f"soft_argmax_tau must be positive and finite, got {self.soft_argmax_tau}")
         if not 0 <= self.warmup_frac <= 1:
             raise ValueError(f"warmup_frac must be in [0, 1], got {self.warmup_frac}")
-        self.schedule(1)  # ScheduleConfig checks warmup_start_lr and base_lr
+        self.schedule(1)  # the shortest run: checks epochs, and ScheduleConfig the learning rates
         if not self.clip_max_norm > 0:
             raise ValueError(f"clip_max_norm must be positive, got {self.clip_max_norm}")
         for name in ("beta1", "beta2"):
@@ -88,11 +88,18 @@ class TrainConfig:
     def loss_weights(self) -> LossWeights:
         return LossWeights(self.lambda_coord, self.lambda_text)
 
-    def schedule(self, total_steps: int) -> ScheduleConfig:
-        """The learning-rate schedule of a run of ``total_steps`` optimizer
-        steps, the first ``warmup_frac`` of them (at most all but one)
-        warming up."""
-        warmup = min(int(round(self.warmup_frac * total_steps)), total_steps - 1)
+    def schedule(self, n: int) -> ScheduleConfig:
+        """The learning-rate schedule of a run over ``n`` training scenes:
+        ``epochs`` times one optimizer step per ``batch_size *
+        grad_accum_steps`` scenes or part of them, the first ``warmup_frac``
+        of the steps (at most all but one) warming up. ValueError when the
+        step count is past float range, as a float is how the schedule
+        reads it."""
+        total_steps = self.epochs * -(-n // (self.batch_size * self.grad_accum_steps))
+        try:
+            warmup = min(int(round(self.warmup_frac * total_steps)), total_steps - 1)
+        except OverflowError:
+            raise ValueError(f"epochs = {self.epochs} gives more optimizer steps than a float holds") from None
         return ScheduleConfig(
             base_lr=self.base_lr, warmup_start_lr=self.warmup_start_lr, warmup_steps=warmup, total_steps=total_steps
         )
@@ -184,12 +191,16 @@ def _weight_only_work(model: HazardModel, prompt_ids: Sequence[int]) -> tuple[Ha
 
 
 def _shared_prefix(model: HazardModel, prompt_ids: Sequence[int]):
-    """What every micro-batch of an accumulation group shares: the tape
-    nodes of ``_weight_only_work``, its view and its latent. A micro-batch's
-    tape starts with these nodes, so its backward carries that
-    micro-batch's gradient through them to the weights."""
+    """What every micro-batch of an optimizer step shares: the tape nodes
+    of ``_weight_only_work``, its view and its latent. A micro-batch's tape
+    starts with these nodes, so its backward carries that micro-batch's
+    gradient through them to the weights. Checked as one stage: each merged
+    weight, then the latent, must be finite."""
     with Tape() as tape:
         view, prompt = _weight_only_work(model, prompt_ids)
+    for name in model.params.adapters:
+        tz.check_finite(view.params.tensors[name].data, "merged weights")
+    tz.check_finite(prompt.data, "prompt latent")
     return tape.nodes, view, prompt
 
 
@@ -212,15 +223,17 @@ def train(
     divergence guard, raises ``optim.DivergenceError``.
 
     The weight-only work, merging the adapters and encoding the prompt,
-    runs once per accumulation group (``_shared_prefix``); each micro-batch
+    runs once per optimizer step (``_shared_prefix``); each micro-batch
     runs the per-scene work on top of it. At batch size 1 the gradients
     have the bits of a forward that redoes it per sample; with more scenes
     per micro-batch, the shared prompt latent sums theirs first.
 
-    Each micro-batch's forward runs without the per-op NaN/Inf guard and
-    checks its loss instead; when that is not finite, or a layer norm's
-    variance overflows, the shared work and the forward run again with the
-    guard on (``tz.rerun_guarded``), so the error names the op. A
+    Both run without the per-op NaN/Inf guard and check their outputs
+    instead: the step's shared work its merged weights and prompt latent,
+    each micro-batch its loss. When a check fails, or a layer norm's
+    variance overflows, that part alone runs again with the guard on
+    (``tz.rerun_guarded``), so the error names the op; a micro-batch's
+    rerun starts from the shared work its step already checked. A
     non-finite gradient fails ``clip_grad_norm``'s check.
     """
     if not d_train:
@@ -229,9 +242,7 @@ def train(
         raise ValueError("lora training mode requires model.enable_lora() first")
 
     n = len(d_train)
-    micro_per_epoch = math.ceil(n / cfg.batch_size)
-    steps_per_epoch = math.ceil(micro_per_epoch / cfg.grad_accum_steps)
-    sched = cfg.schedule(cfg.epochs * steps_per_epoch)
+    sched = cfg.schedule(n)
     state = AdamWState(
         beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps, weight_decay=cfg.weight_decay
     )
@@ -242,7 +253,6 @@ def train(
 
     result = TrainResult()
     step = 0
-    prefix = None  # recorded at the first micro-batch of each accumulation group
     ema: float | None = None
     initial_raw: float | None = None
 
@@ -256,60 +266,53 @@ def train(
                 log.write(LOG_HEADER + "\n")
             for epoch in range(cfg.epochs):
                 order = np.random.default_rng((cfg.seed, epoch)).permutation(n)
-                group_raw: list[tuple[float, float, float]] = []
-                for start in range(0, n, cfg.batch_size):
-                    batch = [d_train[i] for i in order[start : start + cfg.batch_size]]
+                for first in range(0, n, cfg.batch_size * cfg.grad_accum_steps):
+                    parts: list[tuple[float, float, float]] = []
+                    for start in range(first, n, cfg.batch_size)[: cfg.grad_accum_steps]:
+                        batch = [d_train[i] for i in order[start : start + cfg.batch_size]]
+                        if start == first:  # the step's shared work, once its first batch is read
+                            nodes, view, prompt = tz.rerun_guarded(lambda: _shared_prefix(model, prompt_ids))
 
-                    def forward():
-                        nonlocal prefix
-                        # the prefix is kept once the loss passes, so the
-                        # guarded rerun of a failed micro-batch records it again
-                        shared, prefix = prefix or _shared_prefix(model, prompt_ids), None
-                        nodes, view, prompt = shared
-                        with Tape(nodes) as tape:
-                            breakdown = _batch_breakdown(view, batch, prompt_ids, vocab, cfg, prompt)
-                        if not math.isfinite(breakdown.total.item()):
-                            raise DivergenceError(f"non-finite loss at epoch {epoch}, step {step}")
-                        prefix = shared
-                        return tape, breakdown
+                        def forward():
+                            with Tape(nodes) as tape:
+                                breakdown = _batch_breakdown(view, batch, prompt_ids, vocab, cfg, prompt)
+                            if not math.isfinite(breakdown.total.item()):
+                                raise DivergenceError(f"non-finite loss at epoch {epoch}, step {step}")
+                            return tape, breakdown
 
-                    tape, breakdown = tz.rerun_guarded(forward, DivergenceError)
-                    coord_v, text_v, raw = breakdown.values()
-                    if initial_raw is None:
-                        initial_raw = raw
-                    elif raw > DIVERGENCE_FACTOR * max(initial_raw, 1e-12):
-                        raise DivergenceError(
-                            f"loss {raw:.4g} exceeds {DIVERGENCE_FACTOR}x initial {initial_raw:.4g}"
-                        )
-                    tape.backward(breakdown.total)
-                    del tape  # its activations, freed before the next forward
-                    group_raw.append((coord_v, text_v, raw))
-
-                    last_micro = start + cfg.batch_size >= n
-                    if len(group_raw) == cfg.grad_accum_steps or last_micro:
-                        mean = accumulate_gradients(grads, len(group_raw))
-                        clipped, pre_norm = clip_grad_norm(mean, cfg.clip_max_norm)
-                        lr = lr_at(sched, step)
-                        adamw_step(trainable, clipped, state, lr)
-                        raw_mean = sum(r for _, _, r in group_raw) / len(group_raw)
-                        ema = raw_mean if ema is None else EMA_ALPHA * raw_mean + (1 - EMA_ALPHA) * ema
-                        result.logs.append(
-                            StepLog(
-                                step=step,
-                                loss=raw_mean,
-                                loss_smooth=ema,
-                                coord_loss=sum(c for c, _, _ in group_raw) / len(group_raw),
-                                text_loss=sum(t for _, t, _ in group_raw) / len(group_raw),
-                                lr=lr,
-                                grad_norm=pre_norm,
+                        tape, breakdown = tz.rerun_guarded(forward, DivergenceError)
+                        coord_v, text_v, raw = breakdown.values()
+                        if initial_raw is None:
+                            initial_raw = raw
+                        elif raw > DIVERGENCE_FACTOR * max(initial_raw, 1e-12):
+                            raise DivergenceError(
+                                f"loss {raw:.4g} exceeds {DIVERGENCE_FACTOR}x initial {initial_raw:.4g}"
                             )
+                        tape.backward(breakdown.total)
+                        del tape  # its activations, freed before the next forward
+                        parts.append((coord_v, text_v, raw))
+
+                    mean = accumulate_gradients(grads, len(parts))
+                    clipped, pre_norm = clip_grad_norm(mean, cfg.clip_max_norm)
+                    lr = lr_at(sched, step)
+                    adamw_step(trainable, clipped, state, lr)
+                    coord, text, raw_mean = (sum(column) / len(parts) for column in zip(*parts))
+                    ema = raw_mean if ema is None else EMA_ALPHA * raw_mean + (1 - EMA_ALPHA) * ema
+                    result.logs.append(
+                        StepLog(
+                            step=step,
+                            loss=raw_mean,
+                            loss_smooth=ema,
+                            coord_loss=coord,
+                            text_loss=text,
+                            lr=lr,
+                            grad_norm=pre_norm,
                         )
-                        if log is not None:
-                            log.write(result.logs[-1].as_csv_row() + "\n")
-                            log.flush()
-                        step += 1
-                        group_raw = []
-                        prefix = None  # the weights changed
+                    )
+                    if log is not None:
+                        log.write(result.logs[-1].as_csv_row() + "\n")
+                        log.flush()
+                    step += 1
                 result.val_reports.append(evaluate(model, d_val, vocab))
     except tz.NonFiniteError as exc:
         raise DivergenceError(f"{exc} at optimizer step {step}") from exc

@@ -20,7 +20,7 @@ from conftest import CHECKPOINT_HEADER, sealed_checkpoint, with_repeated_last_te
 from hazardvlm.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, RunConfig, main
 from hazardvlm.data import SynthConfig, load_dataset
 from hazardvlm.model import HazardModel
-from hazardvlm.training import TrainConfig, load_checkpoint, restore_model, save_checkpoint
+from hazardvlm.training import TrainConfig, accumulate_gradients, load_checkpoint, restore_model, save_checkpoint
 
 FAST_TRAIN = [
     "--epochs", "1",
@@ -281,19 +281,18 @@ def test_non_finite_value_in_training_exits_diverged(tmp_path, conf, capsys):
 
 
 def test_non_finite_gradient_in_training_exits_diverged(tmp_path, capsys, monkeypatch):
-    # the forward stays finite, the gradient does not: clipping's check
-    class Poisoned(HazardModel):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.params.tensors["txt.0.ln1.b"].data += 1e19
+    # the forward stays finite, the gradient does not: clipping's check. The
+    # infinity is written into the summed gradients after the real backward,
+    # so no BLAS kernel's summation order can keep it finite
+    def overflowing(grads, count):
+        grads.flat[0] = np.inf
+        return accumulate_gradients(grads, count)
 
     data = tmp_path / "data.jsonl"
     assert main(["synth", "--out", str(data), "--n", "5"]) == EXIT_OK
-    monkeypatch.setattr("hazardvlm.cli.HazardModel", Poisoned)
+    monkeypatch.setattr("hazardvlm.training.accumulate_gradients", overflowing)
     capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rc = main(["train", "--dataset", str(data), "--out", str(tmp_path / "x.ckpt")])
+    rc = main(["train", "--dataset", str(data), "--out", str(tmp_path / "x.ckpt")])
     assert rc == EXIT_DIVERGED
     assert capsys.readouterr().err == "divergence: non-finite gradient before clipping\n"
     assert not (tmp_path / "x.ckpt").exists()
@@ -630,6 +629,33 @@ def test_lora_checkpoint_round_trips_through_eval(tmp_path, conf, trained, capsy
     assert "bleu4 = " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mode", [None, "pretrain"])
+def test_init_from_outside_lora_mode_is_usage_error(tmp_path, conf, trained, capsys, mode):
+    # a pretrain run never reads the base, so the flag would be ignored
+    data, base_ckpt = trained
+    out = tmp_path / "x.ckpt"
+    capsys.readouterr()
+    argv = ["train", "--config", conf, "--dataset", str(data), "--out", str(out), "--init-from", str(base_ckpt)]
+    rc = main([*argv, *(["--mode", mode] if mode else []), *FAST_TRAIN])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: --init-from is read only in lora mode (--mode lora)\n"
+    assert captured.out == ""
+    assert not out.exists() and not (tmp_path / "x.csv").exists() and not (tmp_path / "x.ckpt.vocab").exists()
+
+
+def test_lora_mode_from_a_config_file_takes_init_from(tmp_path, conf, trained, capsys):
+    data, base_ckpt = trained
+    lora_conf = tmp_path / "lora.conf"
+    lora_conf.write_text(Path(conf).read_text() + "mode = lora\n")
+    out = tmp_path / "lora.ckpt"
+    rc = main(["train", "--config", str(lora_conf), "--dataset", str(data), "--out", str(out),
+               "--init-from", str(base_ckpt), *FAST_TRAIN])
+    assert rc == EXIT_OK
+    assert "mode = lora" in capsys.readouterr().out
+    assert "lora.vis.0.attn.wq.a" in load_checkpoint(out).tensors
+
+
 def test_lora_checkpoint_as_init_from_is_data_error(tmp_path, conf, trained, capsys):
     data, base_ckpt = trained
     lora_ckpt = tmp_path / "lora.ckpt"
@@ -924,6 +950,21 @@ def test_config_value_the_library_rejects_is_usage_error(tmp_path, trained, caps
     rc = main([*argv, "--config", str(bad)])
     assert rc == EXIT_USAGE
     assert capsys.readouterr().err.startswith("usage error: ")
+
+
+# 10**400 epochs are past float range alone; 10**308 fits a float, and the
+# run's 5 steps an epoch (10 training scenes, 2 a step) do not
+@pytest.mark.parametrize("epochs", [10**400, 10**308], ids=["1e400", "1e308"])
+def test_epochs_whose_step_count_a_float_cannot_hold_is_usage_error(tmp_path, conf, capsys, epochs):
+    data = synth(tmp_path, conf, n=12)
+    out = tmp_path / "x.ckpt"
+    capsys.readouterr()
+    rc = main(["train", "--config", conf, "--dataset", str(data), "--out", str(out),
+               "--epochs", str(epochs), "--grad-accum-steps", "2"])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: bad config: epochs = {epochs} gives more optimizer steps than a float holds\n"
+    assert not out.exists() and not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("greedy", [True, False], ids=["greedy", "sampled"])

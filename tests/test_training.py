@@ -37,6 +37,7 @@ from hazardvlm.training import (
     TrainConfig,
     _batch_breakdown,
     _shared_prefix,
+    _weight_only_work,
     accumulate_gradients,
     apply_checkpoint,
     evaluate,
@@ -388,6 +389,68 @@ def test_non_finite_loss_the_guarded_rerun_passes_names_the_step(monkeypatch):
     assert all(t.grad is None for t in model.params.tensors.values())
 
 
+# (mode, tensors set to 3e38, the op the guard names, the stage whose check
+# failed first): the overflow is in a step's shared work
+SHARED_OVERFLOWS = [
+    # W is finite and A.B is not
+    ("lora", ["lora.dec.0.ffn.w2.a", "lora.dec.0.ffn.w2.b"], "matmul", "merged weights"),
+    ("pretrain", ["txt.0.attn.wq"], "linear", "prompt latent"),  # used only by the prompt
+]
+
+
+@pytest.mark.parametrize("mode, names, op, stage", SHARED_OVERFLOWS)
+def test_overflow_in_the_shared_work_fails_its_stage(mode, names, op, stage):
+    samples, vocab = make_dataset(4)
+    model = _poisoned(vocab, mode, names, 3e38)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+        with pytest.raises(DivergenceError) as caught:
+            train(model, samples, samples[:1], vocab, quick_cfg(mode=mode, grad_accum_steps=2))
+    assert str(caught.value) == f"non-finite values produced by op '{op}' at optimizer step 0"
+    assert str(caught.value.__cause__.__context__) == f"non-finite values in stage '{stage}'"
+
+
+def test_a_failing_micro_batch_reruns_on_its_steps_checked_prefix(monkeypatch):
+    # the prefix passes its check; the decoder's output layer overflows
+    samples, vocab = make_dataset(4)
+    model = _poisoned(vocab, "pretrain", ["dec.out.w"], 3e38)
+    calls = []
+
+    def counted(*args):
+        calls.append(tz._FINITE_CHECKS)
+        return _shared_prefix(*args)
+
+    monkeypatch.setattr("hazardvlm.training._shared_prefix", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DivergenceError) as caught:
+            train(model, samples, samples[:1], vocab, quick_cfg(grad_accum_steps=2))
+    assert str(caught.value) == "non-finite values produced by op 'linear' at optimizer step 0"
+    assert str(caught.value.__cause__.__context__) == "non-finite loss at epoch 0, step 0"
+    # recorded once, unguarded; the guarded rerun reused it
+    assert calls == [False]
+
+
+def test_a_shared_stage_the_guarded_rerun_passes_is_named(monkeypatch):
+    samples, vocab = make_dataset(4)
+    model = small_model(vocab)
+    calls = []
+
+    def nan_once(*args):
+        calls.append(tz._FINITE_CHECKS)
+        view, prompt = _weight_only_work(*args)
+        if len(calls) == 1:
+            prompt = Tensor(np.full(prompt.shape, np.nan, prompt.dtype))
+        return view, prompt
+
+    monkeypatch.setattr("hazardvlm.training._weight_only_work", nan_once)
+    with pytest.raises(DivergenceError) as caught:
+        train(model, samples, samples[:1], vocab, quick_cfg(grad_accum_steps=2))
+    assert str(caught.value) == "non-finite values in stage 'prompt latent' at optimizer step 0"
+    assert calls == [False, True]
+    assert all(t.grad is None for t in model.params.tensors.values())
+
+
 def test_one_step_per_sample_when_accum_is_one():
     samples, vocab = make_dataset(6)
     model = small_model(vocab)
@@ -510,6 +573,23 @@ def test_train_config_rejects_a_seed_a_checkpoint_cannot_store(seed):
     with pytest.raises(ValueError, match=re.escape("seed must be in [0, 2**64)")):
         quick_cfg(seed=seed)
     assert quick_cfg(seed=2**64 - 1).seed == 2**64 - 1
+
+
+def test_schedule_steps_are_epochs_times_the_ceiling_of_scenes_per_step():
+    cfg = quick_cfg(epochs=3, batch_size=2, grad_accum_steps=4)
+    # 8 scenes a step: 17 scenes are 3 steps an epoch, the last one partial
+    assert cfg.schedule(17).total_steps == 9
+    assert cfg.schedule(16).total_steps == 6
+    assert TrainConfig(epochs=10**300).schedule(5).total_steps == 10**300
+
+
+@pytest.mark.parametrize("epochs, n", [(10**400, 1), (10**308, 24)], ids=["1e400-epochs", "1e308-epochs-of-3-steps"])
+def test_a_step_count_past_float_range_is_refused(epochs, n):
+    # 10**400 epochs are past float range alone, so the config is refused;
+    # 10**308 fits a float, and 3 steps an epoch do not
+    message = re.escape(f"epochs = {epochs} gives more optimizer steps than a float holds")
+    with pytest.raises(ValueError, match=message):
+        quick_cfg(epochs=epochs, grad_accum_steps=8).schedule(n)
 
 
 # ---------------------------------------------------------------------------
